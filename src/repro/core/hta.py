@@ -233,6 +233,7 @@ def _solve_p2(
     station_cap: float,
     options: LPHTAOptions,
     context: RunContext,
+    failed_primary: Optional[LPResult] = None,
 ) -> LPResult:
     """Step 1: solve P2 down the solver fallback ladder.
 
@@ -253,8 +254,12 @@ def _solve_p2(
     fails at both relaxation levels, the ladder bottoms out at
     :func:`_greedy_p2` instead of raising, so one pathological cluster
     cannot abort a whole sweep.
+
+    :param failed_primary: the failed result of the first rung (the
+        primary backend, unrelaxed) when the caller already ran exactly
+        that solve; the ladder then starts at the next rung.
     """
-    last: Optional[LPResult] = None
+    last = failed_primary
     for relax in (False, True):
         generic_build = None
         rungs: List[Tuple[str, bool]] = []
@@ -263,6 +268,8 @@ def _solve_p2(
             if backend == "interior-point" and context.lp_sparse:
                 # Dense retry right below the sparse IPM rung.
                 rungs.append((backend, True))
+        if failed_primary is not None and not relax:
+            rungs.remove((options.backend, False))
         for backend, dense in rungs:
             if backend == "structured":
                 grouped = build_p2_structured(
@@ -470,7 +477,14 @@ def _solve_p2_batch(
                 # A block the batched solver actually failed on (not a
                 # mere cache miss) is a ladder descent worth counting.
                 context.telemetry.record_fallback("batch-to-sequential")
-            result = _solve_p2(costs, caps, cap, options, context)
+            # The structured batch replays solve_structured bit for bit, so
+            # its failure *is* the ladder's first rung: start below it.
+            # (The generic batch is pinned to the dense solver, not to the
+            # first rung's possibly sparse lp_solve, so that rung reruns.)
+            primary = result if backend == "structured" else None
+            result = _solve_p2(
+                costs, caps, cap, options, context, failed_primary=primary
+            )
         out.append(result)
     return out
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -100,7 +100,9 @@ class GroupedBoundedLP:
         if coupling_a is None:
             coupling_a = np.zeros((0, n))
             coupling_b = np.zeros(0)
-        self.coupling_a = np.asarray(coupling_a, dtype=float)
+        # C order always: the batch solver stacks these matrices, and the
+        # BLAS kernel a matvec runs depends on the operand's layout.
+        self.coupling_a = np.ascontiguousarray(coupling_a, dtype=float)
         self.coupling_b = np.asarray(coupling_b, dtype=float)
         if self.coupling_a.shape[1] != n:
             raise ValueError(f"coupling_a must have {n} columns")
@@ -443,14 +445,261 @@ def solve_structured(
         )
 
 
-class _Block:
-    """Per-block bookkeeping for :func:`solve_structured_batch`."""
+class _Bucket:
+    """Same-shape blocks lying side by side in a :class:`_Pack`.
+
+    ``a`` stacks their coupling matrices into one ``(B, K, n)`` array, so a
+    per-block matvec, Schur product or K×K solve of the bucket is one
+    stacked ``np.matmul`` / ``np.linalg.solve`` call, which runs the same
+    BLAS/LAPACK kernel on each block's matrix as the sequential solver.
+    The lower-case vector attributes are views of the pack's vectors
+    reshaped to the bucket's blocks (fixed until the next compaction);
+    ``dots`` lists the ``(left, right, out)`` triples of the convergence
+    dots, ``aff_dots`` those of the predictor's complementarity; ``rt``,
+    ``ut``/``ub`` and ``schur`` hold the current iteration's
+    normal-equation blocks.
+    """
 
     __slots__ = (
-        "idx", "lp", "sl", "ks", "gs", "n", "k", "m", "r_mat", "bounded",
-        "u_off", "schur_diag", "norm_b", "norm_c", "num_comp", "mu",
-        "rt", "u_block", "schur",
+        "b", "n", "k", "m", "ss", "vs", "ks", "gs", "a", "at", "u_off",
+        "u_len", "bounded", "x", "y_r", "mv", "at_y", "theta_x", "theta_s",
+        "diag_g", "g_x", "rtgx", "rhs_r", "dg_inv", "dy_r", "ub_dyr",
+        "at_dyr", "dots", "aff_dots", "rt", "ut", "ub", "schur",
     )
+
+
+class _Pack:
+    """The blocks still running in a batch solve, packed bucket by bucket.
+
+    Owns the packed state — ``V = [[x, w], [z, v]]`` over the variables,
+    ``Ks = [s, z_s]`` over the coupling rows, ``y_g``, ``y_r`` — and the
+    per-iteration buffers the buckets' views point into.  Built once at
+    the start, then again at every compaction from the live blocks of the
+    previous pack and their gathered state (:meth:`live_state`).
+
+    :param blocks: every block of the batch.
+    :param keys: each block's bucket key ``(n, K, groups, bounded vars)``.
+    :param ids: the packed blocks (indices into ``blocks``), bucket by
+        bucket.
+    :param norms: ``(3, len(blocks))`` per-block ``norm_b``, ``norm_c`` and
+        complementarity-pair count.
+    :param state: ``(V, Ks, y_g, y_r)`` of these blocks; ``None`` starts
+        from the sequential solver's initial point.
+    """
+
+    def __init__(
+        self,
+        blocks: Sequence[GroupedBoundedLP],
+        keys: Sequence[Tuple[int, int, int, int]],
+        ids: List[int],
+        norms: np.ndarray,
+        state: Optional[Tuple[np.ndarray, ...]] = None,
+    ) -> None:
+        lps = [blocks[i] for i in ids]
+        self.ids = ids
+        self.n_sizes = np.array([keys[i][0] for i in ids], dtype=np.intp)
+        self.k_sizes = np.array([keys[i][1] for i in ids], dtype=np.intp)
+        self.g_sizes = np.array([keys[i][2] for i in ids], dtype=np.intp)
+        self.v_off = np.concatenate(([0], np.cumsum(self.n_sizes)))
+        k_off = np.concatenate(([0], np.cumsum(self.k_sizes)))
+        g_off = np.concatenate(([0], np.cumsum(self.g_sizes)))
+        n_tot = self.n_tot = int(self.v_off[-1])
+        k_tot = int(k_off[-1])
+        g_tot = self.g_tot = int(g_off[-1])
+        self.norm_b, self.norm_c, self.num_comp = norms[:, ids]
+
+        self.c = np.concatenate([lp.c for lp in lps])
+        self.u = np.concatenate([lp.upper for lp in lps])
+        self.bounded = np.isfinite(self.u)
+        self.all_bounded = bool(self.bounded.all())
+        self.unbounded = ~self.bounded
+        self.group_rhs = np.concatenate([lp.group_rhs for lp in lps])
+        self.coupling_b = np.concatenate([lp.coupling_b for lp in lps])
+        self.gi_off = np.concatenate(
+            [lp.group_index + g_off[j] for j, lp in enumerate(lps)]
+        )
+        # Segment starts of the blocks with entries, for per-block minima.
+        self._var_seg = self._segments(self.v_off)
+        self._row_seg = self._segments(k_off)
+
+        if state is None:
+            # Starting point: the sequential solver's expressions.
+            x = np.where(self.bounded, np.minimum(self.u * 0.5, 1.0), 1.0)
+            x = np.maximum(x, 1e-3)
+            w = np.where(self.bounded, self.u - x, 1.0)
+            w = np.maximum(w, 1e-3)
+            v = np.where(self.bounded, 1.0, 0.0)
+            state = (
+                np.stack(((x, w), (np.ones(n_tot), v))),
+                np.ones((2, k_tot)),
+                np.zeros(g_tot),
+                np.zeros(k_tot),
+            )
+        self.V, self.Ks, self.y_g, self.y_r = state
+
+        # Per-iteration buffers.  Landing buffers of per-bucket results
+        # stay zero on K = 0 buckets (the sequential ``0.0`` terms) and are
+        # zeroed when a block freezes, since fully frozen buckets are
+        # skipped.
+        self.mv = np.zeros(k_tot)        # r_mat @ x
+        self.rtgx = np.zeros(k_tot)      # rt @ g_x
+        self.dy_r = np.zeros(k_tot)
+        self.at_y = np.zeros(n_tot)      # r_mat.T @ y_r
+        self.at_dyr = np.zeros(n_tot)    # r_mat.T @ dy_r
+        self.ub_dyr = np.zeros(g_tot)    # u_block @ dy_r
+        self.theta_x = np.zeros(n_tot)
+        self.g_x = np.zeros(n_tot)
+        self.theta_s = np.zeros(k_tot)
+        self.rhs_r = np.zeros(k_tot)
+        self.diag_g = np.zeros(g_tot)
+        self.dg_inv = np.zeros(g_tot)
+        self.resid_v = np.zeros((2, n_tot))   # r_upper, r_dual_x
+        self.resid_k = np.zeros((2, k_tot))   # r_coupling, r_dual_s
+        self.resid_g = np.zeros(g_tot)        # r_groups
+        # The predictor's directions, as V / Ks; overwritten in place by
+        # the predictor's trial point once the corrector has its products.
+        self.dir_a = np.zeros((2, 2, n_tot))
+        self.dir_k_a = np.zeros((2, k_tot))
+        # Per-block dots: x·z, w·v, s·z_s, r_upper², r_dual_x², r_c²,
+        # r_dual_s², r_groups² (convergence) and the predictor's x·z,
+        # w·v, s·z_s.
+        self.dots = np.zeros((8, len(ids)))
+        self.aff = np.zeros((3, len(ids)))
+
+        self.buckets: List[_Bucket] = []
+        lo = 0
+        while lo < len(ids):
+            key = keys[ids[lo]]
+            hi = lo + 1
+            while hi < len(ids) and keys[ids[hi]] == key:
+                hi += 1
+            self.buckets.append(
+                self._bucket(lps[lo:hi], key, lo, hi, k_off, g_off)
+            )
+            lo = hi
+
+    def _bucket(self, members, key, lo, hi, k_off, g_off) -> _Bucket:
+        bk = _Bucket()
+        n, k, m, nb = key
+        bk.n, bk.k, bk.m = n, k, m
+        b = bk.b = hi - lo
+        ss = bk.ss = slice(lo, hi)
+        vs = bk.vs = slice(int(self.v_off[lo]), int(self.v_off[hi]))
+        ks = bk.ks = slice(int(k_off[lo]), int(k_off[hi]))
+        gs = bk.gs = slice(int(g_off[lo]), int(g_off[hi]))
+        bk.bounded = None if nb == n else self.bounded[vs].reshape(b, n)
+
+        def rows(vec: np.ndarray, part: slice) -> np.ndarray:
+            """(F, b, 1, L) left / (F, b, L, 1) right operands of row dots."""
+            return vec[:, part].reshape(vec.shape[0], b, 1, -1)
+
+        def cols(vec: np.ndarray, part: slice) -> np.ndarray:
+            return vec[:, part].reshape(vec.shape[0], b, -1, 1)
+
+        def out(dots: np.ndarray, first: int, count: int) -> np.ndarray:
+            return dots[first:first + count, ss].reshape(count, b, 1, 1)
+
+        resid_g = self.resid_g[None]
+        bk.dots = [
+            (rows(self.V[0], vs), cols(self.V[1], vs), out(self.dots, 0, 2)),
+            (rows(self.Ks[:1], ks), cols(self.Ks[1:], ks), out(self.dots, 2, 1)),
+            (rows(self.resid_v, vs), cols(self.resid_v, vs), out(self.dots, 3, 2)),
+            (rows(self.resid_k, ks), cols(self.resid_k, ks), out(self.dots, 5, 2)),
+            (rows(resid_g, gs), cols(resid_g, gs), out(self.dots, 7, 1)),
+        ]
+        bk.aff_dots = [
+            (rows(self.dir_a[0], vs), cols(self.dir_a[1], vs), out(self.aff, 0, 2)),
+            (
+                rows(self.dir_k_a[:1], ks), cols(self.dir_k_a[1:], ks),
+                out(self.aff, 2, 1),
+            ),
+        ]
+        if k:
+            bk.a = (
+                members[0].coupling_a[None]  # a view: no copy for one block
+                if b == 1
+                else np.stack([lp.coupling_a for lp in members])
+            )
+            bk.at = bk.a.transpose(0, 2, 1)
+            bk.rt = np.empty_like(bk.a)
+            # One bincount builds every U-block of the bucket: bin (block,
+            # row, group) gathers its row's entries in element order, as
+            # the sequential per-block bincount does.
+            groups = np.stack([lp.group_index for lp in members])
+            bk.u_off = (
+                (np.arange(b)[:, None, None] * k + np.arange(k)[:, None]) * m
+                + groups[:, None, :]
+            ).ravel()
+            bk.u_len = b * k * m
+            bk.x = self.V[0, 0, vs].reshape(b, n, 1)
+            bk.y_r = self.y_r[ks].reshape(b, k, 1)
+            bk.mv = self.mv[ks].reshape(b, k, 1)
+            bk.at_y = self.at_y[vs].reshape(b, n, 1)
+            bk.theta_x = self.theta_x[vs].reshape(b, 1, n)
+            bk.theta_s = self.theta_s[ks].reshape(b, k)
+            bk.diag_g = self.diag_g[gs].reshape(b, m, 1)
+            bk.g_x = self.g_x[vs].reshape(b, n, 1)
+            bk.rtgx = self.rtgx[ks].reshape(b, k, 1)
+            bk.rhs_r = self.rhs_r[ks].reshape(b, k, 1)
+            bk.dg_inv = self.dg_inv[gs].reshape(b, m, 1)
+            bk.dy_r = self.dy_r[ks].reshape(b, k, 1)
+            bk.ub_dyr = self.ub_dyr[gs].reshape(b, m, 1)
+            bk.at_dyr = self.at_dyr[vs].reshape(b, n, 1)
+        return bk
+
+    def live_state(self, live: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """The ``live`` blocks' state, gathered into fresh C-order arrays."""
+        keep_v = np.repeat(live, self.n_sizes)
+        keep_k = np.repeat(live, self.k_sizes)
+        return (
+            np.ascontiguousarray(self.V[:, :, keep_v]),
+            np.ascontiguousarray(self.Ks[:, keep_k]),
+            self.y_g[np.repeat(live, self.g_sizes)],
+            self.y_r[keep_k],
+        )
+
+    def _segments(self, offsets: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        nonempty = np.flatnonzero(offsets[1:] > offsets[:-1])
+        if nonempty.size == len(self.ids):
+            return offsets[:-1], None
+        return offsets[:-1][nonempty], nonempty
+
+    def _block_min(self, values: np.ndarray, segments) -> np.ndarray:
+        starts, nonempty = segments
+        if nonempty is None:
+            return np.minimum.reduceat(values, starts, axis=1)
+        # Empty blocks keep min(initial=inf); reduceat cannot express them.
+        out = np.full((values.shape[0], len(self.ids)), np.inf)
+        if nonempty.size:
+            out[:, nonempty] = np.minimum.reduceat(values, starts, axis=1)
+        return out
+
+    def var_min(self, values: np.ndarray) -> np.ndarray:
+        """Per-block minima ``(F, slots)`` of ``(F, n_tot)`` stacked vectors.
+
+        ``minimum`` is exact and NaN-propagating, so each entry equals the
+        block's own ``values.min()`` (``inf`` for an empty block).
+        """
+        return self._block_min(values, self._var_seg)
+
+    def row_min(self, values: np.ndarray) -> np.ndarray:
+        """Per-block minima ``(F, slots)`` over the coupling rows."""
+        return self._block_min(values, self._row_seg)
+
+    def bounded_dots(
+        self, bk: _Bucket, left: np.ndarray, right: np.ndarray, out: np.ndarray
+    ) -> None:
+        """Redo a bucket's ``left · right`` on its bounded entries only.
+
+        The sequential solver dots ``w[bounded] @ v[bounded]``; a block's
+        ddot over the compressed entries is not the full-length one.
+        """
+        b, vs = bk.b, bk.vs
+        np.matmul(
+            left[vs].reshape(b, -1)[bk.bounded].reshape(b, 1, -1),
+            right[vs].reshape(b, -1)[bk.bounded].reshape(b, -1, 1),
+            out=out[bk.ss].reshape(b, 1, 1),
+        )
 
 
 def solve_structured_batch(
@@ -459,26 +708,36 @@ def solve_structured_batch(
 ) -> List[LPResult]:
     """Solve many independent :class:`GroupedBoundedLP` blocks in lockstep.
 
-    The blocks are concatenated into one block-diagonal mega-problem and
-    every Mehrotra iteration advances all of them at once: elementwise work
-    (residuals, scaling, directions, updates) runs on the concatenated
-    state vectors, while the per-block pieces that must not mix — coupling
-    matvecs, the K×K Schur factorisations, complementarity/error dots,
-    step-length minima and convergence decisions — run on each block's
-    contiguous slice.  Because the per-slice operations see exactly the
-    arrays the sequential solver would, and a min/bincount/dot over a
-    block's slice of the concatenation equals the same reduction over the
-    standalone block, every block follows the **bit-identical iterate
-    trajectory** of :func:`solve_structured` (the only tolerated deviation
-    is the sign of floating-point zeros in masked fill positions, which
-    can never change a magnitude or comparison).
+    The blocks are packed into one block-diagonal mega-problem and every
+    Mehrotra iteration advances all of them at once, at a cost that follows
+    the blocks still running rather than the batch size:
 
-    Per-block convergence masking: a block that converges (or leaves the
-    positive orthant) is *frozen* — its :class:`LPResult` is recorded with
-    its own iteration count, its state slices are overwritten with benign
-    constants so the global elementwise passes stay finite, and its
-    per-block work (factorise/solve/reduce) is skipped while the
-    stragglers continue.  The loop exits as soon as every block is frozen.
+    - **Elementwise work** (residuals, scaling, directions, updates) runs
+      once on the packed state vectors.
+    - **Per-block work** runs per *shape bucket*: blocks with the same
+      ``(num_vars, num_coupling, num_groups)`` (and the same number of
+      bounded variables) sit side by side, their coupling matrices stacked
+      into a ``(B, K, n)`` array.  Each coupling matvec, Schur product,
+      K×K factorisation and complementarity/error dot is one stacked call
+      per bucket; step-length and orthant minima are one segmented
+      ``minimum.reduceat`` over all blocks.  Ragged batches are buckets of
+      one; nothing is padded.
+    - **Freezing and compaction**: a block that converges (or leaves the
+      positive orthant) is *frozen* — its :class:`LPResult` is recorded
+      with its own iteration count, its state is reset to benign constants
+      and its step lengths are zero, so it stays a fixed point; a bucket
+      whose blocks are all frozen is skipped.  Once the live blocks hold
+      half of the packed variables or fewer, their slices are gathered
+      into fresh contiguous state, so a straggler costs only its own
+      block's work.
+
+    Stacked ``matmul``/``solve`` run the same BLAS/LAPACK call on each
+    block's matrix as the sequential solver's ``@``/``solve``; elementwise
+    work is per element identical, and every reduction of a block sees the
+    same values in the same order.  Hence every block follows the
+    **bit-identical iterate trajectory** of :func:`solve_structured` (the
+    only tolerated deviation is the sign of floating-point zeros in masked
+    fill positions, which can never change a magnitude or comparison).
 
     In reference mode this degrades to a per-block sequential loop so the
     differential baselines never see the batched code path.
@@ -493,117 +752,55 @@ def solve_structured_batch(
     if perf.reference_mode():
         return [solve_structured(lp, options) for lp in blocks]
 
-    num = len(blocks)
-    n_sizes = np.array([lp.num_vars for lp in blocks], dtype=np.intp)
-    k_sizes = np.array([lp.num_coupling for lp in blocks], dtype=np.intp)
-    g_sizes = np.array([lp.num_groups for lp in blocks], dtype=np.intp)
-    v_off = np.concatenate(([0], np.cumsum(n_sizes)))
-    k_off = np.concatenate(([0], np.cumsum(k_sizes)))
-    g_off = np.concatenate(([0], np.cumsum(g_sizes)))
-    n_tot = int(v_off[-1])
-    k_tot = int(k_off[-1])
-    g_tot = int(g_off[-1])
-
-    c = np.concatenate([lp.c for lp in blocks])
-    u = np.concatenate([lp.upper for lp in blocks])
-    group_rhs = np.concatenate([lp.group_rhs for lp in blocks])
-    coupling_b = np.concatenate([lp.coupling_b for lp in blocks])
-    gi_off = np.concatenate(
-        [lp.group_index + g_off[b] for b, lp in enumerate(blocks)]
+    keys: List[Tuple[int, int, int, int]] = []
+    by_key: Dict[Tuple[int, int, int, int], List[int]] = {}
+    for index, lp in enumerate(blocks):
+        key = (
+            lp.num_vars,
+            lp.num_coupling,
+            lp.num_groups,
+            int(np.isfinite(lp.upper).sum()),
+        )
+        keys.append(key)
+        by_key.setdefault(key, []).append(index)
+    # sqrt(v @ v) is np.linalg.norm for real 1-D vectors, minus the
+    # dispatch overhead (same BLAS dot, same rounding).
+    norms = np.array(
+        [
+            [
+                1.0
+                + math.sqrt(float(lp.group_rhs @ lp.group_rhs))
+                + math.sqrt(float(lp.coupling_b @ lp.coupling_b))
+                for lp in blocks
+            ],
+            [1.0 + math.sqrt(float(lp.c @ lp.c)) for lp in blocks],
+            [n + k + nb for n, k, _, nb in keys],
+        ]
     )
-    bounded = np.isfinite(u)
-    all_bounded = bool(bounded.all())
+    p = _Pack(blocks, keys, [i for ids in by_key.values() for i in ids], norms)
+    results: List[Optional[LPResult]] = [None] * len(blocks)
+    alive = np.ones(len(p.ids), dtype=bool)
+    buckets = p.buckets
+    refresh = False  # set by freeze(): revisit compaction and live buckets
 
-    def masked(values: np.ndarray, fill: float) -> np.ndarray:
-        # Identity when every variable is bounded (the real-workload case),
-        # per-element identical to each block's own where_bounded otherwise.
-        return values if all_bounded else np.where(bounded, values, fill)
-
-    info: List[_Block] = []
-    for b, lp in enumerate(blocks):
-        blk = _Block()
-        blk.idx = b
-        blk.lp = lp
-        blk.n = lp.num_vars
-        blk.k = lp.num_coupling
-        blk.m = lp.num_groups
-        blk.sl = slice(int(v_off[b]), int(v_off[b + 1]))
-        blk.ks = slice(int(k_off[b]), int(k_off[b + 1]))
-        blk.gs = slice(int(g_off[b]), int(g_off[b + 1]))
-        blk.r_mat = lp.coupling_a
-        bounded_b = bounded[blk.sl]
-        blk.bounded = None if bool(bounded_b.all()) else bounded_b
-        blk.u_off = (
-            (np.arange(blk.k)[:, None] * blk.m + lp.group_index[None, :]).ravel()
-            if blk.k
-            else None
-        )
-        blk.schur_diag = np.diag_indices(blk.k) if blk.k else None
-        blk.norm_b = (
-            1.0
-            + float(np.linalg.norm(lp.group_rhs))
-            + float(np.linalg.norm(lp.coupling_b))
-        )
-        blk.norm_c = 1.0 + float(np.linalg.norm(lp.c))
-        blk.num_comp = blk.n + blk.k + int(bounded_b.sum())
-        blk.mu = 0.0
-        info.append(blk)
-
-    # ---- starting point (same expressions as the sequential solver) -----
-    x = np.where(bounded, np.minimum(u * 0.5, 1.0), 1.0)
-    x = np.maximum(x, 1e-3)
-    s = np.ones(k_tot)
-    w = np.where(bounded, u - x, 1.0)
-    w = np.maximum(w, 1e-3)
-    y_g = np.zeros(g_tot)
-    y_r = np.zeros(k_tot)
-    z = np.ones(n_tot)
-    z_s = np.ones(k_tot)
-    v = np.where(bounded, 1.0, 0.0)
-
-    # Per-block matvec landing buffers: active slices are refilled every
-    # iteration, frozen slices are zeroed once at freeze time so the global
-    # elementwise passes never mix in stale values.
-    mv = np.zeros(k_tot)        # r_mat @ x
-    at_y = np.zeros(n_tot)      # r_mat.T @ y_r
-    rtgx = np.zeros(k_tot)      # rt @ g_x
-    ub_dyr = np.zeros(g_tot)    # u_block @ dy_r
-    at_dyr = np.zeros(n_tot)    # r_mat.T @ dy_r
-    dy_r = np.zeros(k_tot)
-
-    # Per-block step lengths / centering, expanded to per-element arrays by
-    # np.repeat; frozen blocks keep 0.0 so their state is a fixed point of
-    # the global update (x + 0*dx is bitwise x).
-    ap_blocks = np.zeros(num)
-    ad_blocks = np.zeros(num)
-    sm_blocks = np.zeros(num)
-
-    results: List[Optional[LPResult]] = [None] * num
-    active = list(info)
-
-    def freeze(blk: _Block, result: LPResult) -> None:
-        results[blk.idx] = result
-        sl, ks, gs = blk.sl, blk.ks, blk.gs
-        x[sl] = 1.0
-        w[sl] = 1.0
-        z[sl] = 1.0
-        v[sl] = 1.0
-        s[ks] = 1.0
-        z_s[ks] = 1.0
-        y_r[ks] = 0.0
-        y_g[gs] = 0.0
-        mv[ks] = 0.0
-        at_y[sl] = 0.0
-        rtgx[ks] = 0.0
-        ub_dyr[gs] = 0.0
-        at_dyr[sl] = 0.0
-        dy_r[ks] = 0.0
-        ap_blocks[blk.idx] = 0.0
-        ad_blocks[blk.idx] = 0.0
-        sm_blocks[blk.idx] = 0.0
-        blk.rt = None
-        blk.u_block = None
-        blk.schur = None
+    def freeze(mask: np.ndarray) -> None:
+        """Reset the masked blocks to a benign fixed point of the update."""
+        nonlocal refresh
+        fv = np.repeat(mask, p.n_sizes)
+        fk = np.repeat(mask, p.k_sizes)
+        fg = np.repeat(mask, p.g_sizes)
+        p.V[:, :, fv] = 1.0
+        p.Ks[:, fk] = 1.0
+        p.y_r[fk] = 0.0
+        p.y_g[fg] = 0.0
+        p.mv[fk] = 0.0
+        p.rtgx[fk] = 0.0
+        p.dy_r[fk] = 0.0
+        p.at_y[fv] = 0.0
+        p.at_dyr[fv] = 0.0
+        p.ub_dyr[fg] = 0.0
+        alive[mask] = False
+        refresh = True
 
     tolerance = options.tolerance
     step_fraction = options.step_fraction
@@ -614,265 +811,275 @@ def solve_structured_batch(
     # branch may hit 0/0 before being discarded.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for iteration in range(1, options.max_iterations + 1):
-            if not active:
-                break
+            if refresh:
+                refresh = False
+                if 2 * int(p.n_sizes[alive].sum()) <= p.n_tot:
+                    # Compaction: the live blocks move to fresh state.  The
+                    # old pack is dropped first, so its stacked matrices
+                    # are freed before the live ones are restacked.
+                    ids = [i for i, live in zip(p.ids, alive) if live]
+                    state = p.live_state(alive)
+                    p = buckets = None
+                    p = _Pack(blocks, keys, ids, norms, state)
+                    alive = np.ones(len(ids), dtype=bool)
+                    buckets = p.buckets
+                else:
+                    buckets = [bk for bk in p.buckets if alive[bk.ss].any()]
+            V, Ks, y_g, y_r = p.V, p.Ks, p.y_g, p.y_r
+            (x, w), (z, v) = V
+            s, z_s = Ks
+            partial = not p.all_bounded
 
-            # ---- residuals: per-block matvecs + global elementwise ------
-            for blk in active:
-                if blk.k:
-                    mv[blk.ks] = blk.r_mat @ x[blk.sl]
-                    at_y[blk.sl] = blk.r_mat.T @ y_r[blk.ks]
-            r_groups = np.bincount(gi_off, weights=x, minlength=g_tot) - group_rhs
-            r_coupling = mv + s - coupling_b
-            r_upper = masked(x + w - u, 0.0)
-            r_dual_x = at_y + y_g[gi_off] + z - v - c
-            r_dual_s = y_r + z_s
+            # ---- residuals: stacked matvecs + global elementwise --------
+            for bk in buckets:
+                if bk.k:
+                    np.matmul(bk.a, bk.x, out=bk.mv)
+                    np.matmul(bk.at, bk.y_r, out=bk.at_y)
+            r_groups = p.resid_g
+            np.subtract(
+                np.bincount(p.gi_off, weights=x, minlength=p.g_tot),
+                p.group_rhs,
+                out=r_groups,
+            )
+            r_upper, r_dual_x = p.resid_v
+            np.add(x, w, out=r_upper)
+            r_upper -= p.u
+            if partial:
+                r_upper[p.unbounded] = 0.0
+            np.add(p.at_y, y_g[p.gi_off], out=r_dual_x)
+            r_dual_x += z
+            r_dual_x -= v
+            r_dual_x -= p.c
+            r_coupling, r_dual_s = p.resid_k
+            np.add(p.mv, s, out=r_coupling)
+            r_coupling -= p.coupling_b
+            np.add(y_r, z_s, out=r_dual_s)
 
             # ---- per-block convergence (own mu / residual norms) --------
-            still = []
-            for blk in active:
-                sl, ks, gs = blk.sl, blk.ks, blk.gs
-                if blk.bounded is None:
-                    wb, vb = w[sl], v[sl]
-                else:
-                    wb, vb = w[sl][blk.bounded], v[sl][blk.bounded]
-                mu_b = (
-                    float(x[sl] @ z[sl])
-                    + float(s[ks] @ z_s[ks])
-                    + float(wb @ vb)
-                ) / blk.num_comp
-                rg = r_groups[gs]
-                rc = r_coupling[ks]
-                ru = r_upper[sl]
-                primal_err = (
-                    math.sqrt(float(rg @ rg))
-                    + math.sqrt(float(rc @ rc))
-                    + math.sqrt(float(ru @ ru))
-                ) / blk.norm_b
-                rdx = r_dual_x[sl]
-                rds = r_dual_s[ks]
-                dual_err = (
-                    math.sqrt(float(rdx @ rdx)) + math.sqrt(float(rds @ rds))
-                ) / blk.norm_c
-                if max(primal_err, dual_err, mu_b) < tolerance:
-                    solution = x[sl].copy()
-                    freeze(
-                        blk,
-                        LPResult(
-                            status=LPStatus.OPTIMAL,
-                            x=solution,
-                            objective=blk.lp.objective(solution),
-                            iterations=iteration - 1,
-                            backend=_BACKEND_NAME,
-                        ),
+            dots = p.dots
+            for bk in buckets:
+                for left, right, out in bk.dots:
+                    np.matmul(left, right, out=out)
+                if bk.bounded is not None:
+                    p.bounded_dots(bk, w, v, dots[1])
+            mu = (dots[0] + dots[2] + dots[1]) / p.num_comp
+            roots = np.sqrt(dots[3:])
+            primal_err = (roots[4] + roots[2] + roots[0]) / p.norm_b
+            dual_err = (roots[1] + roots[3]) / p.norm_c
+            # max(primal_err, dual_err, mu) as Python's max evaluates it.
+            worst = np.where(dual_err > primal_err, dual_err, primal_err)
+            worst = np.where(mu > worst, mu, worst)
+            converged = alive & (worst < tolerance)
+            if converged.any():
+                for slot in np.flatnonzero(converged).tolist():
+                    index = p.ids[slot]
+                    solution = x[p.v_off[slot]:p.v_off[slot + 1]].copy()
+                    results[index] = LPResult(
+                        status=LPStatus.OPTIMAL,
+                        x=solution,
+                        objective=blocks[index].objective(solution),
+                        iterations=iteration - 1,
+                        backend=_BACKEND_NAME,
                     )
-                else:
-                    blk.mu = mu_b
-                    still.append(blk)
-            active = still
-            if not active:
-                break
+                freeze(converged)
+                if not alive.any():
+                    break
+                buckets = [bk for bk in buckets if alive[bk.ss].any()]
 
-            # ---- scaling (global) + Schur complements (per block) -------
-            x_safe = np.maximum(x, 1e-300)
-            w_safe = np.maximum(w, 1e-300)
+            # ---- scaling (global) + Schur complements (stacked) ---------
+            x_safe, w_safe = np.maximum(V[0], 1e-300)
             s_safe = np.maximum(s, 1e-300)
             v_over_w = v / w_safe
-            d_x = z / x_safe + masked(v_over_w, 0.0)
-            d_s = z_s / s_safe
-            theta_x = 1.0 / np.clip(d_x, 1e-12, 1e12)
-            theta_s = 1.0 / np.clip(d_s, 1e-12, 1e12)
+            d_x = z / x_safe
+            d_x += np.where(p.bounded, v_over_w, 0.0) if partial else v_over_w
+            theta_x = np.divide(1.0, np.clip(d_x, 1e-12, 1e12), out=p.theta_x)
+            theta_s = np.divide(
+                1.0, np.clip(z_s / s_safe, 1e-12, 1e12), out=p.theta_s
+            )
             diag_g = np.maximum(
-                np.bincount(gi_off, weights=theta_x, minlength=g_tot), 1e-300
+                np.bincount(p.gi_off, weights=theta_x, minlength=p.g_tot),
+                1e-300,
+                out=p.diag_g,
             )
             neg_r_groups = -r_groups
             neg_r_coupling = -r_coupling
+            neg_r_upper = -r_upper
             vw_r_upper = v_over_w * r_upper
 
-            for blk in active:
-                if not blk.k:
+            for bk in buckets:
+                if not bk.k:
                     continue
-                rt = blk.r_mat * theta_x[blk.sl]
-                u_block = (
-                    np.bincount(
-                        blk.u_off, weights=rt.ravel(), minlength=blk.m * blk.k
-                    )
-                    .reshape(blk.k, blk.m)
-                    .T
-                )
-                schur = rt @ blk.r_mat.T
-                schur[blk.schur_diag] += theta_s[blk.ks]
-                schur -= u_block.T @ (u_block / diag_g[blk.gs][:, None])
-                schur[blk.schur_diag] += 1e-12 * (
-                    1.0 + schur.trace() / max(blk.k, 1)
-                )
-                blk.rt = rt
-                blk.u_block = u_block
-                blk.schur = schur
+                b, k = bk.b, bk.k
+                rt = np.multiply(bk.a, bk.theta_x, out=bk.rt)
+                ut = np.bincount(
+                    bk.u_off, weights=rt.ravel(), minlength=bk.u_len
+                ).reshape(b, k, bk.m)
+                ub = ut.transpose(0, 2, 1)
+                schur = rt @ bk.at
+                diag = schur.reshape(b, k * k)[:, :: k + 1]  # a view
+                diag += bk.theta_s
+                schur -= ut @ (ub / bk.diag_g)
+                # diag.sum is each block's schur.trace(): the same strided
+                # pairwise sum.
+                diag += (1e-12 * (1.0 + diag.sum(axis=1) / k))[:, None]
+                bk.ut, bk.ub, bk.schur = ut, ub, schur
 
-            def newton(rxz, rwv, rsz):
-                """One lockstep KKT solve for given complementarity residuals."""
-                g_x = r_dual_x - rxz / x_safe
-                g_x = g_x + masked(rwv / w_safe - vw_r_upper, 0.0)
+            def newton(rxz, rwv, rsz, dV, dK):
+                """One lockstep KKT solve for given complementarity residuals.
+
+                Writes the stacked directions ``dV = [[dx, dw], [dz, dv]]``
+                and ``dK = [ds, dz_s]``, leaves ``dy_r`` in ``p.dy_r`` and
+                returns ``dy_g``.
+                """
+                g_x = np.divide(rxz, x_safe, out=p.g_x)
+                np.subtract(r_dual_x, g_x, out=g_x)
+                correction = rwv / w_safe
+                correction -= vw_r_upper
+                if partial:
+                    correction[p.unbounded] = 0.0
+                g_x += correction
                 rhs_g = neg_r_groups - np.bincount(
-                    gi_off, weights=theta_x * g_x, minlength=g_tot
+                    p.gi_off, weights=theta_x * g_x, minlength=p.g_tot
                 )
                 g_s = r_dual_s - rsz / s_safe
-                for blk in active:
-                    if blk.k:
-                        rtgx[blk.ks] = blk.rt @ g_x[blk.sl]
-                rhs_r = neg_r_coupling - rtgx - theta_s * g_s
-                dg_inv_rhs = rhs_g / diag_g
-                for blk in active:
-                    if not blk.k:
-                        continue
-                    ks, gs = blk.ks, blk.gs
-                    dy_r[ks] = np.linalg.solve(
-                        blk.schur, rhs_r[ks] - blk.u_block.T @ dg_inv_rhs[gs]
-                    )
-                    ub_dyr[gs] = blk.u_block @ dy_r[ks]
-                    at_dyr[blk.sl] = blk.r_mat.T @ dy_r[ks]
-                dy_g = (rhs_g - ub_dyr) / diag_g
-                at_dy = dy_g[gi_off] + at_dyr
-                dx = theta_x * (at_dy + g_x)
-                dz = -(rxz + z * dx) / x_safe
-                dw = masked(-r_upper - dx, 0.0)
-                dv = masked(-(rwv + v * dw) / w_safe, 0.0)
-                ds = theta_s * (dy_r + g_s)
-                dz_s = -(rsz + z_s * ds) / s_safe
-                return dx, ds, dw, dy_g, dy_r, dz, dz_s, dv
+                for bk in buckets:
+                    if bk.k:
+                        np.matmul(bk.rt, bk.g_x, out=bk.rtgx)
+                rhs_r = np.subtract(neg_r_coupling, p.rtgx, out=p.rhs_r)
+                rhs_r -= theta_s * g_s
+                np.divide(rhs_g, diag_g, out=p.dg_inv)
+                for bk in buckets:
+                    if bk.k:
+                        dy = np.linalg.solve(bk.schur, bk.rhs_r - bk.ut @ bk.dg_inv)
+                        bk.dy_r[...] = dy
+                        np.matmul(bk.ub, dy, out=bk.ub_dyr)
+                        np.matmul(bk.at, dy, out=bk.at_dyr)
+                dy_g = (rhs_g - p.ub_dyr) / diag_g
+                at_dy = dy_g[p.gi_off] + p.at_dyr
+                (dx, dw), (dz, dv) = dV
+                at_dy += g_x
+                np.multiply(theta_x, at_dy, out=dx)
+                # dz = -(rxz + z * dx) / x_safe, and so on: every operand
+                # pair as the sequential solver has it (a + b == b + a).
+                np.multiply(z, dx, out=dz)
+                dz += rxz
+                np.negative(dz, out=dz)
+                dz /= x_safe
+                np.subtract(neg_r_upper, dx, out=dw)
+                if partial:
+                    dw[p.unbounded] = 0.0
+                np.multiply(v, dw, out=dv)
+                dv += rwv
+                np.negative(dv, out=dv)
+                dv /= w_safe
+                if partial:
+                    dv[p.unbounded] = 0.0
+                ds, dz_s = dK
+                np.add(p.dy_r, g_s, out=ds)
+                ds *= theta_s
+                np.multiply(z_s, ds, out=dz_s)
+                dz_s += rsz
+                np.negative(dz_s, out=dz_s)
+                dz_s /= s_safe
+                return dy_g
 
-            def ratios(values, deltas):
-                return np.where(deltas < 0, -values / deltas, inf)
+            def block_steps(dV, dK):
+                """Per-block (primal, dual) boundary steps, shape (2, slots).
 
-            def ratios_bounded(values, deltas):
-                if all_bounded:
-                    return np.where(deltas < 0, -values / deltas, inf)
-                return np.where((deltas < 0) & bounded, -values / deltas, inf)
-
-            def block_steps(dx, ds, dw, dz, dz_s, dv):
-                """Per-block boundary steps: min over each block's slice of
-                the fused per-family ratio arrays (equals the sequential
-                min over the block's concatenated families)."""
-                rat_x = ratios(x, dx)
-                rat_s = ratios(s, ds)
-                rat_w = ratios_bounded(w, dw)
-                rat_z = ratios(z, dz)
-                rat_zs = ratios(z_s, dz_s)
-                rat_v = ratios_bounded(v, dv)
-                out = []
-                for blk in active:
-                    sl, ks = blk.sl, blk.ks
-                    ap = min(
-                        1.0,
-                        float(rat_x[sl].min(initial=inf)),
-                        float(rat_s[ks].min(initial=inf)),
-                        float(rat_w[sl].min(initial=inf)),
-                    )
-                    ad = min(
-                        1.0,
-                        float(rat_z[sl].min(initial=inf)),
-                        float(rat_zs[ks].min(initial=inf)),
-                        float(rat_v[sl].min(initial=inf)),
-                    )
-                    out.append((ap, ad))
-                return out
+                A block's step is min(1, the min over its x, s and bounded
+                w ratios): the sequential min over the block's concatenated
+                families, NaN-propagating alike.
+                """
+                blocking = dV < 0
+                if partial:
+                    blocking[:, 1] &= p.bounded
+                ratios = np.where(blocking, -V / dV, inf)
+                ratios_k = np.where(dK < 0, -Ks / dK, inf)
+                steps = np.minimum(
+                    p.var_min(np.minimum(ratios[:, 0], ratios[:, 1])),
+                    p.row_min(ratios_k),
+                )
+                # min(1.0, steps) as Python evaluates it: a NaN or an empty
+                # family (inf) gives a full step.
+                return np.where(steps < 1.0, steps, 1.0)
 
             # ---- predictor ----------------------------------------------
-            rxz_aff = x * z
-            rwv_aff = masked(w * v, 0.0)
+            comp_aff = V[0] * V[1]  # x * z, w * v
+            if partial:
+                comp_aff[1, p.unbounded] = 0.0
             rsz_aff = s * z_s
-            aff = newton(rxz_aff, rwv_aff, rsz_aff)
-            dx_a, ds_a, dw_a, _, _, dz_a, dzs_a, dv_a = aff
-            for blk, (ap_b, ad_b) in zip(
-                active, block_steps(dx_a, ds_a, dw_a, dz_a, dzs_a, dv_a)
-            ):
-                sl, ks = blk.sl, blk.ks
-                xa = x[sl] + ap_b * dx_a[sl]
-                za = z[sl] + ad_b * dz_a[sl]
-                if blk.bounded is None:
-                    wb, dwb = w[sl], dw_a[sl]
-                    vb, dvb = v[sl], dv_a[sl]
-                else:
-                    bb = blk.bounded
-                    wb, dwb = w[sl][bb], dw_a[sl][bb]
-                    vb, dvb = v[sl][bb], dv_a[sl][bb]
-                mu_aff = (
-                    float(xa @ za)
-                    + (
-                        float(
-                            (s[ks] + ap_b * ds_a[ks])
-                            @ (z_s[ks] + ad_b * dzs_a[ks])
-                        )
-                        if blk.k
-                        else 0.0
-                    )
-                    + float((wb + ap_b * dwb) @ (vb + ad_b * dvb))
-                ) / blk.num_comp
-                sigma = (mu_aff / blk.mu) ** 3 if blk.mu > 0 else 0.0
-                sm_blocks[blk.idx] = sigma * blk.mu
+            dV_a, dK_a = p.dir_a, p.dir_k_a
+            newton(comp_aff[0], comp_aff[1], rsz_aff, dV_a, dK_a)
+            steps = block_steps(dV_a, dK_a)
+            comp = dV_a[0] * dV_a[1]  # dx * dz, dw * dv, for the corrector
+            rsz = dK_a[0] * dK_a[1]
+            # The trial point V + step * dV (as x + alpha * dx), in place.
+            dV_a *= np.repeat(steps, p.n_sizes, axis=1)[:, None]
+            dV_a += V
+            dK_a *= np.repeat(steps, p.k_sizes, axis=1)
+            dK_a += Ks
+            aff = p.aff
+            for bk in buckets:
+                for left, right, out in bk.aff_dots:
+                    np.matmul(left, right, out=out)
+                if bk.bounded is not None:
+                    p.bounded_dots(bk, dV_a[0, 1], dV_a[1, 1], aff[1])
+            mu_aff = (aff[0] + aff[2] + aff[1]) / p.num_comp
+            # sigma * mu in Python floats, as the sequential solver computes
+            # it (``** 3`` is the C library pow).
+            sm = np.array([
+                ((a / m) ** 3 if m > 0 else 0.0) * m if live else 0.0
+                for a, m, live in zip(mu_aff.tolist(), mu.tolist(), alive.tolist())
+            ])
 
             # ---- corrector ----------------------------------------------
-            sm_v = np.repeat(sm_blocks, n_sizes)
-            sm_k = np.repeat(sm_blocks, k_sizes)
-            rxz = rxz_aff + dx_a * dz_a - sm_v
-            rwv = masked(rwv_aff + dw_a * dv_a - sm_v, 0.0)
-            rsz = rsz_aff + ds_a * dzs_a - sm_k
-            dx, ds, dw, dy_g, dy_r_c, dz, dz_s, dv = newton(rxz, rwv, rsz)
+            comp += comp_aff
+            comp -= np.repeat(sm, p.n_sizes)
+            if partial:
+                comp[1, p.unbounded] = 0.0
+            rsz += rsz_aff
+            rsz -= np.repeat(sm, p.k_sizes)
+            dV, dK = np.empty_like(V), np.empty_like(Ks)
+            dy_g = newton(comp[0], comp[1], rsz, dV, dK)
 
-            for blk, (ap_b, ad_b) in zip(
-                active, block_steps(dx, ds, dw, dz, dz_s, dv)
-            ):
-                ap_blocks[blk.idx] = step_fraction * ap_b
-                ad_blocks[blk.idx] = step_fraction * ad_b
-
-            ap_v = np.repeat(ap_blocks, n_sizes)
-            ap_k = np.repeat(ap_blocks, k_sizes)
-            ad_v = np.repeat(ad_blocks, n_sizes)
-            ad_k = np.repeat(ad_blocks, k_sizes)
-            ad_g = np.repeat(ad_blocks, g_sizes)
-            x += ap_v * dx
-            s += ap_k * ds
-            y_g += ad_g * dy_g
-            y_r += ad_k * dy_r_c
-            z += ad_v * dz
-            z_s += ad_k * dz_s
-            if all_bounded:
-                w += ap_v * dw
-                v += ad_v * dv
-            else:
-                w = np.where(bounded, w + ap_v * dw, w)
-                v = np.where(bounded, v + ad_v * dv, v)
+            # Frozen blocks step by zero: x + 0*dx is bitwise x.  The
+            # masked (unbounded) w, v directions are zero, so w + ap*dw is
+            # the sequential np.where(bounded, w + ap*dw, w).
+            steps = np.where(alive, step_fraction * block_steps(dV, dK), 0.0)
+            step_k = np.repeat(steps, p.k_sizes, axis=1)
+            dV *= np.repeat(steps, p.n_sizes, axis=1)[:, None]
+            V += dV
+            dK *= step_k
+            Ks += dK
+            dy_g *= np.repeat(steps[1], p.g_sizes)
+            y_g += dy_g
+            dy_r = p.dy_r
+            dy_r *= step_k[1]
+            y_r += dy_r
 
             # ---- per-block orthant check --------------------------------
-            still = []
-            for blk in active:
-                sl, ks = blk.sl, blk.ks
-                if (
-                    x[sl].min(initial=inf) <= 0
-                    or z[sl].min(initial=inf) <= 0
-                    or (
-                        blk.k
-                        and (s[ks].min() <= 0 or z_s[ks].min() <= 0)
+            # Each family's own min, as the sequential ``x.min() <= 0 or
+            # ...`` (a NaN min compares False family by family).
+            escaped = alive & (
+                (p.var_min(V[:, 0]) <= 0).any(axis=0)
+                | (p.row_min(Ks) <= 0).any(axis=0)
+            )
+            if escaped.any():
+                for slot in np.flatnonzero(escaped).tolist():
+                    results[p.ids[slot]] = LPResult(
+                        status=LPStatus.NUMERICAL_ERROR,
+                        x=None,
+                        objective=float("nan"),
+                        iterations=iteration,
+                        backend=_BACKEND_NAME,
+                        message="iterate left the positive orthant",
                     )
-                ):
-                    freeze(
-                        blk,
-                        LPResult(
-                            status=LPStatus.NUMERICAL_ERROR,
-                            x=None,
-                            objective=float("nan"),
-                            iterations=iteration,
-                            backend=_BACKEND_NAME,
-                            message="iterate left the positive orthant",
-                        ),
-                    )
-                else:
-                    still.append(blk)
-            active = still
+                freeze(escaped)
+                if not alive.any():
+                    break
 
-    for blk in active:
-        results[blk.idx] = LPResult(
+    for slot in np.flatnonzero(alive).tolist():
+        results[p.ids[slot]] = LPResult(
             status=LPStatus.ITERATION_LIMIT,
             x=None,
             objective=float("nan"),

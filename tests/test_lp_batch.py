@@ -20,8 +20,11 @@ from repro.core.hta import LPHTAOptions, lp_hta, lp_hta_batch
 from repro.core.lp_builder import BatchedProblem
 from repro.lp import LinearProgram
 from repro.lp.interior_point import solve_interior_point, solve_interior_point_batch
+from repro.lp import structured
+from repro.lp.result import LPStatus
 from repro.lp.structured import (
     GroupedBoundedLP,
+    StructuredIPMOptions,
     solve_structured,
     solve_structured_batch,
 )
@@ -86,6 +89,72 @@ def _assert_block_equal(batched, sequential):
         assert np.array_equal(batched.x, sequential.x)
 
 
+def _city_block(rng: np.random.Generator, num_tasks: int = 20, devices: int = 10):
+    """A block of the city's P2 shape: three options per task, one resource
+    row per device plus the station row (n = 60, K = 11, 20 groups)."""
+    n = 3 * num_tasks
+    tasks = np.arange(num_tasks)
+    owners = rng.integers(0, devices, size=num_tasks)
+    resource = rng.uniform(0.5, 2.0, size=num_tasks)
+    coupling_a = np.zeros((devices + 1, n))
+    coupling_a[owners, 3 * tasks] = resource  # run on the owning device
+    coupling_a[devices, 3 * tasks + 1] = resource  # run on the station
+    # Capacities between "binds hard" and "never binds", so blocks take
+    # visibly different iteration counts.
+    coupling_b = coupling_a.sum(axis=1) * rng.uniform(0.2, 1.2, size=devices + 1)
+    return GroupedBoundedLP(
+        c=rng.uniform(0.1, 10.0, size=n) * rng.uniform(0.5, 50.0),
+        group_index=np.repeat(tasks, 3),
+        group_rhs=np.ones(num_tasks),
+        coupling_a=coupling_a,
+        coupling_b=coupling_b + 0.05,
+        upper=np.ones(n),
+    )
+
+
+def _shaped_block(
+    rng: np.random.Generator,
+    sizes,
+    k: int,
+    unbounded=(),
+) -> GroupedBoundedLP:
+    """A feasible block with the given group sizes, K coupling rows and
+    the given variables unbounded (fixing the bucket key)."""
+    sizes = np.asarray(sizes)
+    n = int(sizes.sum())
+    upper = np.ones(n)
+    upper[list(unbounded)] = np.inf
+    x_feasible = 1.0 / np.repeat(sizes, sizes)
+    coupling_a = (rng.random((k, n)) < 0.5).astype(float) * rng.uniform(0.5, 2.0)
+    return GroupedBoundedLP(
+        c=rng.uniform(0.5, 10.0, size=n),
+        group_index=np.repeat(np.arange(len(sizes)), sizes),
+        group_rhs=np.ones(len(sizes)),
+        coupling_a=coupling_a if k else None,
+        coupling_b=coupling_a @ x_feasible + rng.uniform(0.05, 1.0, size=k)
+        if k
+        else None,
+        upper=upper,
+    )
+
+
+def _assert_batch_is_sequential(blocks, options=StructuredIPMOptions()):
+    """Every block of the batch replays its sequential solve bit for bit,
+    failed ones (NaN objective, no x) included."""
+    batched = solve_structured_batch(blocks, options)
+    assert len(batched) == len(blocks)
+    for block, result in zip(blocks, batched):
+        sequential = solve_structured(block, options)
+        assert result.status is sequential.status
+        assert result.iterations == sequential.iterations
+        assert np.array_equal(result.objective, sequential.objective, equal_nan=True)
+        if sequential.x is None:
+            assert result.x is None
+        else:
+            assert np.array_equal(result.x, sequential.x)
+    return batched
+
+
 class TestStructuredBatch:
     """solve_structured_batch vs per-block solve_structured."""
 
@@ -124,6 +193,81 @@ class TestStructuredBatch:
             expected = sequential if order[0] is trivial else sequential[::-1]
             for b, s in zip(batched, expected):
                 _assert_block_equal(b, s)
+
+    def test_many_block_single_shape_bucket(self):
+        # The city case: one bucket of many (n=60, K=11) blocks whose
+        # per-block work runs as stacked calls.
+        rng = np.random.default_rng(10)
+        blocks = [_city_block(rng) for _ in range(40)]
+        batched = _assert_batch_is_sequential(blocks)
+        assert len({r.iterations for r in batched}) > 3
+
+    def test_mixed_buckets_with_odd_sizes(self):
+        # Same-shape blocks interleaved with other shapes (odd n, several
+        # buckets of two or three and some of one); results come back in
+        # input order.
+        rng = np.random.default_rng(11)
+        shapes = [((2, 2, 3), 2), ((3, 4, 3, 3), 1), ((1, 2, 2), 3),
+                  ((5,), 1), ((2, 2, 3), 2), ((3, 3, 3, 2, 2), 2)]
+        blocks = [
+            _shaped_block(rng, sizes, k)
+            for sizes, k in shapes * 2 + [((2, 2, 3), 2), ((1, 2, 2), 3)]
+        ]
+        _assert_batch_is_sequential(blocks)
+
+    def test_zero_coupling_and_unbounded_variables(self):
+        # K = 0 buckets, all-unbounded and partly bounded blocks, and one
+        # bucket whose blocks leave *different* variables unbounded (same
+        # count), so its bounded-entry dots differ row by row.
+        rng = np.random.default_rng(12)
+        blocks = [
+            _shaped_block(rng, (3, 2, 2), 0),
+            _shaped_block(rng, (3, 2, 2), 0, unbounded=range(7)),
+            _shaped_block(rng, (2, 3), 2, unbounded=(0, 3)),
+            _shaped_block(rng, (2, 3), 2, unbounded=(1, 4)),
+            _shaped_block(rng, (2, 3), 2, unbounded=(2, 0)),
+            _shaped_block(rng, (4, 4), 1, unbounded=range(8)),
+            _shaped_block(rng, (3, 2, 2), 0),
+            _shaped_block(rng, (2, 3), 2),
+        ]
+        _assert_batch_is_sequential(blocks)
+
+    def test_numerical_error_freezes_only_its_block(self):
+        # A full step to the boundary (step_fraction=1) throws most blocks
+        # out of the positive orthant within two iterations, while others
+        # run on (through NaN iterates) to the cap: each must match its
+        # own sequential solve, frozen or not.
+        rng = np.random.default_rng(7)
+        blocks = [_random_grouped(rng, int(g)) for g in rng.integers(1, 12, size=30)]
+        blocks += [_shaped_block(rng, (2, 2, 3), 2) for _ in range(4)]
+        options = StructuredIPMOptions(step_fraction=1.0)
+        with np.errstate(all="ignore"):
+            batched = _assert_batch_is_sequential(blocks, options)
+        statuses = {r.status for r in batched}
+        assert LPStatus.NUMERICAL_ERROR in statuses
+        assert len(statuses) > 1
+
+    def test_blocks_freeze_on_both_sides_of_a_compaction(self, monkeypatch):
+        # Once half the packed variables belong to frozen blocks, the live
+        # ones are gathered into fresh state.  Blocks frozen before that
+        # compaction and blocks still running through it must both replay
+        # their sequential solves.
+        packs = []
+
+        class SpyPack(structured._Pack):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                packs.append(list(self.ids))
+
+        monkeypatch.setattr(structured, "_Pack", SpyPack)
+        rng = np.random.default_rng(13)
+        blocks = [_city_block(rng) for _ in range(16)]
+        blocks += [_shaped_block(rng, (2, 2, 3), 2) for _ in range(4)]
+        _assert_batch_is_sequential(blocks)
+        assert len(packs) >= 2
+        first_compaction = set(packs[1])
+        assert first_compaction  # blocks still running through it
+        assert set(packs[0]) - first_compaction  # blocks frozen before it
 
 
 class TestInteriorPointBatch:
@@ -192,16 +336,14 @@ class TestLPHTABatched:
             assert (
                 batched_ctx.telemetry.batched_blocks == len(batched.clusters)
             )
-        # Batched or not, the same per-block iterations are observed —
-        # unless a block failed its primary solve: the batch path then
-        # falls back to the full sequential ladder, whose first rung
-        # repeats the failed solve, so its iterations are counted twice.
-        # Equal solve counts mean no fallback fired.
-        if batched_ctx.telemetry.solves == sequential_ctx.telemetry.solves:
-            assert (
-                batched_ctx.telemetry.lp_iterations
-                == sequential_ctx.telemetry.lp_iterations
-            )
+        # Batched or not, the same solves and per-block iterations are
+        # observed: a block that fails its batched primary solve continues
+        # the ladder below that rung instead of repeating it.
+        assert batched_ctx.telemetry.solves == sequential_ctx.telemetry.solves
+        assert (
+            batched_ctx.telemetry.lp_iterations
+            == sequential_ctx.telemetry.lp_iterations
+        )
 
     def test_interior_point_backend_batches_identically(self):
         scenario = generate_scenario(
