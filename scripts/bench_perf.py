@@ -3,10 +3,10 @@
 Times each figure sweep twice and writes ``BENCH_sweep.json`` at the repo
 root so the performance trajectory is tracked PR over PR:
 
-- **reference** — the seed-era code path: scalar per-task cost tables
-  (``costs_config(vectorized=False, cached=False)``), the original
-  generator/metric/solver implementations (``perf_config(reference=True)``)
-  and the in-process sequential sweep (``jobs=1``),
+- **reference** — the seed-era code path selected by
+  ``RunContext(reference=True)`` (scalar per-task cost tables, the original
+  generator/metric/solver implementations, no caches) and the in-process
+  sequential sweep (``jobs=1``),
 - **optimized** — the current defaults: vectorised cost tables with the
   per-scenario memo, the optimised generator/metric/solver paths, plus the
   process-parallel sweep engine (``--jobs``, default 4).
@@ -33,10 +33,8 @@ import time
 from pathlib import Path
 
 from repro.context import RunContext, use_context
-from repro.core.costs import costs_config
 from repro.experiments.figures import ALL_FIGURES
 from repro.obs.export import stage_breakdown
-from repro.perf import perf_config
 
 #: fig6b runs ~20× longer than any other sweep; opt in with --figures.
 DEFAULT_FIGURES = (
@@ -106,16 +104,15 @@ _KERNEL_PROFILE_KW = dict(num_devices=100, num_stations=10, num_tasks=2000)
 
 
 def _kernel_bench(repeat: int):
-    """Microbenchmark the compiled kernels against their object references.
+    """Microbenchmark the compiled kernels on one mid-size scenario.
 
-    The figure sweeps never replay assignments, so the DES engine's win is
+    The figure sweeps never replay assignments, so the DES engine's cost is
     invisible in the per-figure timings; and generation is a small slice of
-    a sweep dominated by solves.  This section times both kernels directly
-    on one mid-size scenario: assignment replay (dedicated and contended)
-    through the array engine vs the closure-chain simulator, and scenario
-    generation + cost-table build through the array generator vs the object
-    paths.  Every pairing is bit-identical (the differential tests assert
-    it); only wall-clock differs.
+    a sweep dominated by solves.  This section times both kernels directly:
+    assignment replay (dedicated and contended) through the array engine,
+    and scenario generation + cost-table build through the array generator
+    vs the reference path.  The pairing is bit-identical (the differential
+    tests assert it); only wall-clock differs.
     """
     from repro.core.costs import cluster_costs
     from repro.core.hta import lp_hta
@@ -146,14 +143,7 @@ def _kernel_bench(repeat: int):
             )
 
         with use_context(RunContext()):
-            engine_s = best(replay)
-        with use_context(RunContext(des_vectorized=False)):
-            object_s = best(replay)
-        section["replay"][label] = {
-            "object_s": round(object_s, 4),
-            "engine_s": round(engine_s, 4),
-            "speedup": round(object_s / engine_s, 2),
-        }
+            section["replay"][label] = {"engine_s": round(best(replay), 4)}
 
     # Each call generates a fresh system, so the cost-table memo never
     # hits and the timing covers the full generate→costs chain.
@@ -164,16 +154,13 @@ def _kernel_bench(repeat: int):
     timings = {}
     for label, context in (
         ("array", RunContext()),
-        ("pool", RunContext(vectorized_generator=False)),
         ("reference", RunContext(reference=True)),
     ):
         with use_context(context):
             timings[label] = best(generate_and_price)
     section["generate"] = {
         "array_s": round(timings["array"], 4),
-        "pool_s": round(timings["pool"], 4),
         "reference_s": round(timings["reference"], 4),
-        "speedup_vs_pool": round(timings["pool"] / timings["array"], 2),
         "speedup_vs_reference": round(
             timings["reference"] / timings["array"], 2
         ),
@@ -189,8 +176,8 @@ def _batch_stats(telemetry):
     distribution, and the whole-batch cache hit rate.  The first repeat
     is the one reported because it runs on a cold cache — later repeats
     serve whole columns from the batch cache and never assemble a
-    mega-solve.  All zeros (and a ``null`` size section) under
-    ``--no-batch`` or when every sweep column held a single cell.
+    mega-solve.  All zeros (and a ``null`` size section) when every sweep
+    column held a single cell.
     """
     counters = {
         "batch_solves": telemetry.batch_solves,
@@ -277,9 +264,7 @@ def main() -> None:
         # the stage_breakdown section describes exactly one sweep.
         context = RunContext()
         for _ in range(max(1, args.repeat)):
-            with costs_config(vectorized=False, cached=False), perf_config(
-                reference=True
-            ):
+            with use_context(RunContext(reference=True)):
                 elapsed, ref_data = _time_figure(figure_id, seeds, jobs=1)
             ref_s = min(ref_s, elapsed)
             context.telemetry.reset()
@@ -320,9 +305,10 @@ def main() -> None:
     report["kernels"] = kernels = _kernel_bench(args.repeat)
     print(
         "kernels: replay "
-        f"{kernels['replay']['dedicated']['speedup']:.2f}x dedicated / "
-        f"{kernels['replay']['contended']['speedup']:.2f}x contended, "
-        f"generate {kernels['generate']['speedup_vs_pool']:.2f}x "
+        f"{kernels['replay']['dedicated']['engine_s']:.4f}s dedicated / "
+        f"{kernels['replay']['contended']['engine_s']:.4f}s contended, "
+        f"generate {kernels['generate']['speedup_vs_reference']:.2f}x "
+        "vs reference "
         f"(numba={'yes' if kernels['numba'] else 'no'})",
         flush=True,
     )

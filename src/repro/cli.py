@@ -10,8 +10,8 @@ Usage::
 
 Algorithm and policy choices come from :mod:`repro.registry`, so the CLI
 always lists exactly what is registered.  ``--stats`` prints the run's LP
-telemetry (solves, wall time, LP-cache and scenario-memo hit rates,
-warm-start reuse) collected on the active
+telemetry (solves, wall time, LP-cache and scenario-memo hit rates)
+collected on the active
 :class:`~repro.context.RunContext`.  ``--trace PATH`` / ``--log-json
 PATH`` enable span tracing and export it (Chrome ``trace_event`` JSON /
 JSONL); ``report`` runs one figure and prints the per-stage latency
@@ -88,15 +88,6 @@ def _add_reference(parser: argparse.ArgumentParser) -> None:
         help="run the seed-era reference implementations (scalar cost "
         "tables, dense LP assembly, naive greedy DTA; all caches off) — "
         "output is bit-identical to the optimised default, only slower",
-    )
-
-
-def _add_batch(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--batch", action=argparse.BooleanOptionalAction, default=True,
-        help="pool each sweep column's LP relaxations into one "
-        "block-diagonal mega-solve (--no-batch solves sequentially; "
-        "output is identical either way; --reference implies --no-batch)",
     )
 
 
@@ -196,7 +187,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also render an ASCII chart of the series",
     )
     _add_reference(figure)
-    _add_batch(figure)
     _add_shards(figure)
     _add_jobs_and_stats(figure, "sweep")
     _add_start_method(figure)
@@ -209,7 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="scenario seeds to average over",
     )
     _add_reference(all_figures)
-    _add_batch(all_figures)
     _add_shards(all_figures)
     _add_jobs_and_stats(all_figures, "sweeps")
     _add_start_method(all_figures)
@@ -238,7 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seeds", type=int, nargs="+", default=list(DEFAULT_SEEDS),
         help="scenario seeds to average over",
     )
-    _add_batch(report)
     _add_shards(report)
     _add_jobs_and_stats(report, "sweep")
     _add_start_method(report)
@@ -368,15 +356,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     if getattr(args, "reference", False):
         # Reference runs are the differential-testing baseline: no
-        # batching, no sharding, whatever --batch/--shards say.
-        context = RunContext(
-            reference=True, vectorized_costs=False, cached_costs=False,
-            trace=trace, lp_batch=False, **runtime,
-        )
+        # sharding, whatever --shards says.
+        context = RunContext(reference=True, trace=trace, **runtime)
     else:
         context = RunContext(
-            trace=trace, lp_batch=getattr(args, "batch", True),
-            shards=getattr(args, "shards", 0), **runtime,
+            trace=trace, shards=getattr(args, "shards", 0), **runtime,
         )
     with use_context(context), pool_scope():
         _dispatch(args)

@@ -1,32 +1,30 @@
 """Explicit run configuration: :class:`RunContext` and its activation stack.
 
-Before this module existed, selecting code paths meant mutating process
-globals (``repro.perf._REFERENCE``, the module-wide cost-table flags in
-:mod:`repro.core.costs`).  That worked for in-process runs and fork-started
-workers, which inherit the parent's memory, but it silently *dropped* the
-flags under a spawn start method, and it gave every entry point its own
-ad-hoc wiring.  A :class:`RunContext` replaces all of that with one
-immutable value:
+A :class:`RunContext` is one immutable value describing how to run an
+algorithm.  It travels inside sweep cells, so fork- and spawn-started
+workers see the same configuration:
 
-- **perf mode** — ``reference=True`` routes the generator, assignment
-  metrics, HGOS, the structured LP solver and (with the cost flags below)
-  the cost tables through their seed-era implementations, for differential
-  tests and honest benchmark baselines;
-- **cost-table flags** — ``vectorized_costs`` / ``cached_costs``, the knobs
-  previously owned by :func:`repro.core.costs.costs_config`;
-- **LP settings** — default backend, fallback chain, warm-start toggle and
-  the capacity of the per-context LP solve cache;
-- **seeds** — the RNG seed handed to randomized algorithm variants.
+- **mode** — ``reference=True`` selects the seed-era oracle of every
+  layer: the object generator with per-task source picking, scalar and
+  unmemoised cost tables, dense P2 assembly, the sequential Step-1 ladder,
+  the seed structured solver, the seed rounding/repair and HGOS loops, the
+  object DES replay, the per-row metric loops and the naive greedy DTA.
+  Differential tests and honest benchmark baselines compare against it;
+  results are bit-identical either way;
+- **LP settings** — default backend, fallback chain and the capacity of
+  the per-context LP solve cache;
+- **seed, shards, trace** — the RNG seed handed to randomized algorithm
+  variants, the sharded LP-HTA execution strategy and span tracing;
+- **runtime** — the sweep supervisor's retry, timeout, quarantine and
+  journal settings (see :mod:`repro.runtime`).
 
 The active context is tracked with :mod:`contextvars`, so activation nests
-and is safe under threads.  ``perf_config`` and ``costs_config`` remain as
-thin shims that activate a modified copy of the current context, keeping
-every pre-existing call site working.
+and is safe under threads.
 
 Each context also carries a mutable :class:`Telemetry` sink (excluded from
-equality/hash/pickling): every LP solve records wall time, iteration count,
-cache hit/miss and warm-start reuse there, so the CLI, the figure sweeps,
-the DES replay and the online scheduler all report the same counters.
+equality/hash/pickling): every LP solve records wall time, iteration count
+and cache hit/miss there, so the CLI, the figure sweeps, the DES replay and
+the online scheduler all report the same counters.
 Worker processes start from zeroed counters (pickling a context resets its
 telemetry) and :func:`repro.experiments.parallel.run_cells` merges their
 counts back into the submitting context.
@@ -73,7 +71,6 @@ class Telemetry:
         "cache_misses",
         "batch_cache_hits",
         "batch_cache_misses",
-        "warm_start_reuses",
         "scenario_memo_hits",
         "scenario_memo_misses",
         "shard_solves",
@@ -117,7 +114,6 @@ class Telemetry:
         self.cache_misses = 0
         self.batch_cache_hits = 0
         self.batch_cache_misses = 0
-        self.warm_start_reuses = 0
         self.scenario_memo_hits = 0
         self.scenario_memo_misses = 0
         self.shard_solves = 0
@@ -142,7 +138,6 @@ class Telemetry:
         wall_time_s: float,
         iterations: int,
         cache_hit: bool = False,
-        warm_start: bool = False,
     ) -> None:
         """Record one LP solve (or solve-cache hit).
 
@@ -150,13 +145,10 @@ class Telemetry:
             cache hits).
         :param iterations: solver iterations (zero for cache hits).
         :param cache_hit: the result came out of an LP solve cache.
-        :param warm_start: a previous iterate/basis seeded the solver.
         """
         self.solves += 1
         self.solve_wall_s += wall_time_s
         self.lp_iterations += iterations
-        if warm_start:
-            self.warm_start_reuses += 1
         # The distribution view of the same event: the `solve` stage
         # histogram covers every solve (cache hits are real pipeline
         # latency), the iteration histogram only actual solver runs.
@@ -298,7 +290,6 @@ class Telemetry:
             "cache_misses": self.cache_misses,
             "batch_cache_hits": self.batch_cache_hits,
             "batch_cache_misses": self.batch_cache_misses,
-            "warm_start_reuses": self.warm_start_reuses,
             "scenario_memo_hits": self.scenario_memo_hits,
             "scenario_memo_misses": self.scenario_memo_misses,
             "shard_solves": self.shard_solves,
@@ -332,7 +323,6 @@ class Telemetry:
                 f"LP solves          {self.solves}",
                 f"solve wall time    {self.solve_wall_s:.3f} s",
                 f"LP iterations      {self.lp_iterations}",
-                f"warm-start reuses  {self.warm_start_reuses}",
             ]
         if self.batch_solves:
             lines.append(
@@ -416,45 +406,22 @@ class Telemetry:
 class RunContext:
     """Immutable description of *how* to run an algorithm.
 
-    :param reference: select the seed-reference implementations (original
-        generator/metric/HGOS/structured-solver paths).  Results are
-        bit-identical either way; only speed differs.
-    :param vectorized_costs: batched NumPy cost tables (the optimised
-        default) vs the scalar per-task reference pipeline.
-    :param cached_costs: memoise cost tables per (system, tasks).
+    :param reference: select the seed-era oracle of every layer instead of
+        the production path: the object generator (per-task source
+        picking), scalar unmemoised cost tables, dense P2 assembly, the
+        sequential per-cluster Step-1 ladder (no batching, no solve
+        cache), the seed structured solver, the seed rounding/repair and
+        HGOS loops, the closure-chained object DES replay, the per-row
+        metric loops and the naive greedy DTA.  Results are bit-identical
+        either way; only speed differs.
     :param lp_backend: default Step-1 backend for LP-HTA.
     :param lp_fallback_backends: tried in order when the primary backend
         fails numerically.
-    :param lp_warm_start: allow solvers to be seeded from a previous
-        result's iterate/basis.
     :param lp_cache_capacity: capacity of the per-context LP solve cache;
         ``0`` disables the cache.  The default keeps a bounded cache on:
         sweeps and repeated figure cells rebuild bit-identical relaxations
         constantly, and a hit returns the exact stored result.  Reference
         mode never consults the cache regardless of capacity.
-    :param lp_sparse: assemble the generic P2 relaxation (and its standard
-        form) as CSR sparse matrices and solve the interior-point normal
-        equations with a sparse factorisation.  ``False`` selects the dense
-        reference assembly/solve; reference mode is always dense.
-    :param lp_batch: clear independent LP-HTA Step-1 instances (the
-        per-cluster relaxations, and — through the sweep engine — whole
-        sweep columns) as one block-diagonal mega-solve with per-block
-        convergence masking, instead of a Python loop of solves.  ``False``
-        selects the sequential per-cluster path, which is retained as the
-        differential-testing reference; reference mode never batches.
-    :param des_vectorized: replay assignments through the compiled
-        struct-of-arrays event engine (:mod:`repro.des.engine` — closed
-        form in dedicated mode, index event loop under contention/outages,
-        ``numba.njit`` when installed).  ``False`` selects the
-        closure-chained object replay, which is retained as the reference;
-        reference mode always uses the object path.  Bit-identical
-        ``RealizedMetrics`` either way.
-    :param vectorized_generator: draw scenarios through the array-native
-        generator (:mod:`repro.workload.array_gen` — batched RNG decode,
-        deferred dataclass materialisation, fused cost-table hints).
-        ``False`` selects the object-at-a-time generator; reference mode
-        and divisible-task profiles always use the object path.
-        Bit-identical ``Scenario`` data either way.
     :param seed: RNG seed handed to randomized algorithm variants.
     :param shards: route LP-HTA through the sharded solver
         (:func:`repro.core.sharded.lp_hta_sharded`) with this many
@@ -490,16 +457,9 @@ class RunContext:
     """
 
     reference: bool = False
-    vectorized_costs: bool = True
-    cached_costs: bool = True
     lp_backend: str = "structured"
     lp_fallback_backends: Tuple[str, ...] = ("interior-point", "simplex", "scipy")
-    lp_warm_start: bool = True
     lp_cache_capacity: int = 256
-    lp_sparse: bool = True
-    lp_batch: bool = True
-    des_vectorized: bool = True
-    vectorized_generator: bool = True
     seed: int = 0
     shards: int = 0
     trace: bool = False

@@ -15,7 +15,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro import perf
+from repro.context import current_context
 from repro.core.costs import NUM_SUBSYSTEMS, ClusterCosts
 
 __all__ = ["Assignment", "AssignmentStats", "Subsystem"]
@@ -160,7 +160,7 @@ class Assignment:
 
     def total_energy_j(self) -> float:
         """Total system energy :math:`\\sum E_{ijl} x_{ijl}` (the objective)."""
-        if perf.reference_mode():
+        if current_context().reference:
             return sum(self.task_energy_j(row) for row in range(self.costs.num_tasks))
         rows, cols = self._assigned_rows_cols()
         # Python sum over the row-ordered values: same sequential float
@@ -169,7 +169,7 @@ class Assignment:
 
     def latencies_s(self) -> List[float]:
         """Latencies of the assigned (non-cancelled) tasks."""
-        if perf.reference_mode():
+        if current_context().reference:
             values = (self.task_latency_s(row) for row in range(self.costs.num_tasks))
             return [v for v in values if v is not None]
         rows, cols = self._assigned_rows_cols()
@@ -184,7 +184,7 @@ class Assignment:
         """Fraction of tasks cancelled or missing their deadline (Fig. 3)."""
         if self.costs.num_tasks == 0:
             return 0.0
-        if perf.reference_mode():
+        if current_context().reference:
             unsatisfied = sum(
                 1
                 for row in range(self.costs.num_tasks)
@@ -233,7 +233,7 @@ class Assignment:
 
     def stats(self) -> AssignmentStats:
         """All aggregate metrics in one object."""
-        if perf.reference_mode():
+        if current_context().reference:
             latencies = self.latencies_s()
             return AssignmentStats(
                 total_energy_j=self.total_energy_j(),

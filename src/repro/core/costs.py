@@ -18,14 +18,13 @@ base stations, so no BS–BS hop appears there.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from repro.context import current_context, use_context
+from repro.context import current_context
 from repro.core.task import Task
 from repro.system.topology import MECSystem
 from repro.units import BITS_PER_BYTE
@@ -34,7 +33,6 @@ __all__ = [
     "ClusterCosts",
     "TaskCosts",
     "cluster_costs",
-    "costs_config",
     "task_costs",
 ]
 
@@ -265,36 +263,6 @@ def _task_array_hint(system: MECSystem, tasks: Tuple[Task, ...]) -> Optional[dic
     return arrays
 
 
-@contextmanager
-def costs_config(
-    *, vectorized: Optional[bool] = None, cached: Optional[bool] = None
-) -> Iterator[None]:
-    """Temporarily override the cost-table defaults.
-
-    ``costs_config(vectorized=False, cached=False)`` reproduces the original
-    per-task scalar pipeline — the reference mode `scripts/bench_perf.py`
-    times the optimised path against.
-
-    A shim over the context stack: activates a copy of the current
-    :class:`~repro.context.RunContext` with the cost flags replaced, so the
-    setting travels with explicitly passed contexts (and into spawn
-    workers) instead of living in a process global.
-
-    :param vectorized: use the batched NumPy evaluation (default True).
-    :param cached: memoise tables per (system, tasks) (default True).
-    """
-    context = current_context()
-    changes = {}
-    if vectorized is not None:
-        changes["vectorized_costs"] = vectorized
-    if cached is not None:
-        changes["cached_costs"] = cached
-    if changes:
-        context = context.replace(**changes)
-    with use_context(context):
-        yield
-
-
 def _cluster_costs_scalar(system: MECSystem, tasks: Tuple[Task, ...]) -> ClusterCosts:
     """Reference implementation: one :func:`task_costs` call per row."""
     n = len(tasks)
@@ -481,45 +449,32 @@ def _cluster_costs_vectorized(
     )
 
 
-def cluster_costs(
-    system: MECSystem,
-    tasks: Sequence[Task],
-    *,
-    vectorized: Optional[bool] = None,
-    cached: Optional[bool] = None,
-) -> ClusterCosts:
+def cluster_costs(system: MECSystem, tasks: Sequence[Task]) -> ClusterCosts:
     """Price every task and pack the results into arrays.
 
-    By default the table is computed with the batched NumPy path and
-    memoised per (system, tasks): the figure pipeline prices each scenario
-    once instead of once per algorithm.  Both knobs can be overridden per
-    call or module-wide via :func:`costs_config`.
+    The table is computed with the batched NumPy path and memoised per
+    (system, tasks): the figure pipeline prices each scenario once instead
+    of once per algorithm.  Reference mode
+    (``RunContext(reference=True)``) prices row by row through
+    :func:`task_costs` and memoises nothing, as the seed pipeline did.
 
     :param system: the MEC system.
     :param tasks: tasks to price (typically all tasks of one cluster).
-    :param vectorized: override the batched-evaluation default.
-    :param cached: override the memoisation default.
     """
-    context = current_context()
-    use_vectorized = context.vectorized_costs if vectorized is None else vectorized
-    use_cache = context.cached_costs if cached is None else cached
     task_tuple = tuple(tasks)
+    if current_context().reference:
+        return _cluster_costs_scalar(system, task_tuple)
 
-    if use_cache:
-        per_system = _TABLE_CACHE.get(system)
-        if per_system is None:
-            per_system = {}
-            _TABLE_CACHE[system] = per_system
-        key = (task_tuple, use_vectorized)
-        hit = per_system.get(key)
-        if hit is not None:
-            return hit
+    per_system = _TABLE_CACHE.get(system)
+    if per_system is None:
+        per_system = {}
+        _TABLE_CACHE[system] = per_system
+    hit = per_system.get(task_tuple)
+    if hit is not None:
+        return hit
 
-    compute = _cluster_costs_vectorized if use_vectorized else _cluster_costs_scalar
-    table = compute(system, task_tuple)
-
-    if use_cache:
-        while len(per_system) >= _TABLE_CACHE_PER_SYSTEM:
-            per_system.pop(next(iter(per_system)))
-        per_system[key] = table
+    table = _cluster_costs_vectorized(system, task_tuple)
+    while len(per_system) >= _TABLE_CACHE_PER_SYSTEM:
+        per_system.pop(next(iter(per_system)))
+    per_system[task_tuple] = table
     return table

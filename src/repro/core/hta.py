@@ -26,12 +26,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.context import RunContext, current_context, use_context
+from repro.context import RunContext, current_context
 from repro.core.assignment import Assignment, Subsystem
 from repro.core.costs import NUM_SUBSYSTEMS, ClusterCosts, cluster_costs
 from repro.core.lp_builder import (
     BatchedProblem,
     build_p2,
+    build_p2_dense,
     build_p2_structured,
     reshape_solution,
 )
@@ -246,8 +247,9 @@ def _solve_p2(
     so the reported Theorem 2 ratio stays a valid (conservative) bound.
 
     Within each relaxation level the configured backend and its fallbacks
-    are tried in order; a sparse interior-point rung that fails gets a
-    dense rebuild-and-retry (sparse factorisation is the usual numerical
+    are tried in order; outside reference mode (whose builds are already
+    dense) a sparse interior-point rung that fails gets a dense
+    rebuild-and-retry (sparse factorisation is the usual numerical
     culprit).  A result from any rung below the primary is counted in the
     telemetry (``lp.fallback.<rung>`` and the ``--stats`` fallback line)
     and tagged with the backend that produced it.  When every backend
@@ -265,7 +267,7 @@ def _solve_p2(
         rungs: List[Tuple[str, bool]] = []
         for backend in (options.backend, *options.fallback_backends):
             rungs.append((backend, False))
-            if backend == "interior-point" and context.lp_sparse:
+            if backend == "interior-point" and not context.reference:
                 # Dense retry right below the sparse IPM rung.
                 rungs.append((backend, True))
         if failed_primary is not None and not relax:
@@ -310,11 +312,10 @@ def _solve_p2(
                 # Rebuild the relaxation with dense assembly: the sparse
                 # factorisation is the usual numerical culprit, and the
                 # dense Mehrotra path is the slower, steadier reference.
-                with use_context(context.replace(lp_sparse=False)):
-                    dense_build = build_p2(
-                        costs, device_caps, station_cap,
-                        relax_deadline_bounds=relax,
-                    )
+                dense_build = build_p2_dense(
+                    costs, device_caps, station_cap,
+                    relax_deadline_bounds=relax,
+                )
                 result = lp_solve(dense_build.lp, backend, context=context)
             else:
                 if generic_build is None:
@@ -346,7 +347,6 @@ def _batching_enabled(context: RunContext, options: LPHTAOptions, blocks: int) -
     """
     return (
         blocks >= 2
-        and context.lp_batch
         and not context.reference
         and options.backend in _BATCHABLE_BACKENDS
     )
@@ -792,8 +792,8 @@ def lp_hta_batch(
     batch entry point the sweep engine and the DTA candidate loop use to
     amortise per-solve overhead across a column of cells.  Results are
     identical to ``[lp_hta(s, t, ...) for s, t in jobs]`` block for block;
-    when batching is off (reference mode, ``lp_batch=False``, non-IPM
-    backend, or fewer than two blocks) it literally runs that loop.
+    when batching is off (reference mode, non-IPM backend, or fewer than
+    two blocks) it literally runs that loop.
 
     :param jobs: (system, tasks) pairs, each priced and clustered exactly
         as :func:`lp_hta` would.

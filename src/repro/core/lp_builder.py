@@ -24,8 +24,6 @@ from typing import List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from repro import perf
-
 from repro.context import current_context
 from repro.core.costs import NUM_SUBSYSTEMS, ClusterCosts
 from repro.obs.tracer import staged
@@ -38,6 +36,7 @@ __all__ = [
     "P2Build",
     "P2StructuredBuild",
     "build_p2",
+    "build_p2_dense",
     "build_p2_structured",
     "reshape_solution",
 ]
@@ -72,7 +71,7 @@ def _deadline_bounds(
     """
     n_tasks = costs.num_tasks
     upper = np.ones(NUM_SUBSYSTEMS * n_tasks)
-    if perf.reference_mode():
+    if current_context().reference:
         doomed_list: List[int] = []
         for row in range(n_tasks):
             deadline_row = costs.deadline_s[row]
@@ -163,7 +162,10 @@ def build_p2(
     station_cap: float,
     relax_deadline_bounds: bool = False,
 ) -> P2Build:
-    """Assemble P2 for one cluster's cost table.
+    """Assemble P2 for one cluster's cost table as CSR sparse matrices.
+
+    Reference mode takes the seed-era dense assembly,
+    :func:`build_p2_dense`, instead.
 
     :param costs: the priced tasks of the cluster.
     :param device_caps: :math:`max_i` per device id.
@@ -171,35 +173,55 @@ def build_p2(
     :param relax_deadline_bounds: drop the A1 bounds (see
         :func:`_deadline_bounds`).
     """
+    if current_context().reference:
+        return build_p2_dense(
+            costs, device_caps, station_cap, relax_deadline_bounds
+        )
+    n_tasks = costs.num_tasks
+    n_vars = NUM_SUBSYSTEMS * n_tasks
+    upper, doomed = _deadline_bounds(costs, relax_deadline_bounds)
+    a_ub, b_ub = _assemble_ub_sparse(
+        costs, device_caps, station_cap, n_tasks, n_vars
+    )
+    # A4/b4 — each task's three consecutive columns sum to one: CSR with
+    # three entries per row, written down directly.
+    a4 = sp.csr_array(
+        (
+            np.ones(n_vars),
+            np.arange(n_vars),
+            np.arange(0, n_vars + 1, NUM_SUBSYSTEMS),
+        ),
+        shape=(n_tasks, n_vars),
+    )
+    lp = LinearProgram(
+        c=costs.energy_j.reshape(-1).astype(float),
+        a_ub=a_ub,
+        b_ub=b_ub,
+        a_eq=a4,
+        b_eq=np.ones(n_tasks),
+        upper_bounds=upper,
+    )
+    return P2Build(lp=lp, doomed_rows=doomed)
+
+
+def build_p2_dense(
+    costs: ClusterCosts,
+    device_caps: Mapping[int, float],
+    station_cap: float,
+    relax_deadline_bounds: bool = False,
+) -> P2Build:
+    """The seed-era dense assembly of P2, entry for entry equal to the CSR
+    blocks of :func:`build_p2`.
+
+    Reference mode builds P2 with it, and LP-HTA's Step-1 ladder retries a
+    failed sparse interior-point solve on it.  Parameters as for
+    :func:`build_p2`.
+    """
     n_tasks = costs.num_tasks
     n_vars = NUM_SUBSYSTEMS * n_tasks
 
     objective = costs.energy_j.reshape(-1).astype(float)
     upper, doomed = _deadline_bounds(costs, relax_deadline_bounds)
-
-    if not perf.reference_mode() and current_context().lp_sparse:
-        a_ub, b_ub = _assemble_ub_sparse(
-            costs, device_caps, station_cap, n_tasks, n_vars
-        )
-        # A4/b4 — each task's three consecutive columns sum to one: CSR with
-        # three entries per row, written down directly.
-        a4 = sp.csr_array(
-            (
-                np.ones(n_vars),
-                np.arange(n_vars),
-                np.arange(0, n_vars + 1, NUM_SUBSYSTEMS),
-            ),
-            shape=(n_tasks, n_vars),
-        )
-        lp = LinearProgram(
-            c=objective,
-            a_ub=a_ub,
-            b_ub=b_ub,
-            a_eq=a4,
-            b_eq=np.ones(n_tasks),
-            upper_bounds=upper,
-        )
-        return P2Build(lp=lp, doomed_rows=doomed)
 
     # A2/b2 — per-device resource caps on the l=1 columns.
     owner_rows = costs.owner_rows()
@@ -283,7 +305,7 @@ def build_p2_structured(
     group_rhs = np.ones(n_tasks)
     upper, doomed = _deadline_bounds(costs, relax_deadline_bounds)
 
-    reference = perf.reference_mode()
+    reference = current_context().reference
     coupling_rows: List[np.ndarray] = []
     coupling_rhs: List[float] = []
     for device_id, rows in sorted(costs.owner_rows().items()):

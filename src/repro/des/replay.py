@@ -297,7 +297,7 @@ def replay_assignment(
         raise ValueError("start_times and tasks must correspond")
 
     context = current_context()
-    if context.des_vectorized and not context.reference:
+    if not context.reference:
         from repro.des.engine import replay_with_engine
 
         latencies_t, makespan, events, mean_wait = replay_with_engine(

@@ -30,7 +30,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 import networkx as nx
 
-from repro import perf
+from repro.context import current_context
 from repro.data.items import DataCatalog
 from repro.data.ownership import OwnershipMap
 from repro.obs.tracer import staged
@@ -233,7 +233,7 @@ def dta_workload(universe: FrozenSet[int], ownership: OwnershipMap) -> Coverage:
     :returns: a valid coverage.
     :raises ValueError: if some item of D is owned by nobody.
     """
-    if perf.reference_mode():
+    if current_context().reference:
         return dta_workload_naive(universe, ownership)
     return _dta_workload_lazy(universe, ownership)
 
@@ -326,7 +326,7 @@ def dta_number(universe: FrozenSet[int], ownership: OwnershipMap) -> Coverage:
     :returns: a valid coverage using few devices (ratio O(ln n)).
     :raises ValueError: if some item of D is owned by nobody.
     """
-    if perf.reference_mode():
+    if current_context().reference:
         return dta_number_naive(universe, ownership)
     return _dta_number_lazy(universe, ownership)
 

@@ -30,8 +30,8 @@ sequential one:
 ``jobs=1`` runs the cells in-process with no executor, no pickling
 requirement and no subprocess overhead; it is the default everywhere.
 
-When LP batching is on (:attr:`~repro.context.RunContext.lp_batch`, the
-default), cells sharing a profile, evaluator set and context — the seeds
+Outside reference mode (:attr:`~repro.context.RunContext.reference`),
+cells sharing a profile, evaluator set and context — the seeds
 of one sweep column — are grouped and dispatched as one unit: each
 evaluator then pools the whole column's Step-1 LP work into a single
 block-diagonal mega-solve (:func:`repro.core.hta.lp_hta_batch`).  Column
@@ -293,7 +293,7 @@ def _group_columns(cells: Sequence[SweepCell]) -> List[List[int]]:
 
     Cells sharing (profile, evaluators, context) — the seeds of one sweep
     column — form one group, in first-appearance order; cells whose
-    context rules batching out (``lp_batch`` off, reference mode) stay
+    context rules batching out (reference mode) stay
     singleton groups, preserving per-cell pool granularity.  Composition
     is a pure function of the cell list — never of ``jobs``, the start
     method or pool scheduling — so the batched mega-solves (and therefore
@@ -309,7 +309,7 @@ def _group_columns(cells: Sequence[SweepCell]) -> List[List[int]]:
     groups: "OrderedDict[Any, List[int]]" = OrderedDict()
     for index, cell in enumerate(cells):
         context = cell.context
-        if context is not None and context.lp_batch and not context.reference:
+        if context is not None and not context.reference:
             key: Any = ("column", cell.profile, cell.evaluators, id(context))
         else:
             key = ("cell", index)

@@ -19,16 +19,13 @@ from repro.lp.simplex import solve_simplex
 from repro.lp.structured import GroupedBoundedLP, solve_structured
 from repro.lp.presolve import PresolveResult, presolve, restore
 from repro.lp.backends import available_backends, solve
-from repro.lp.warmstart import IPMIterate, SimplexBasis
 
 __all__ = [
     "GroupedBoundedLP",
-    "IPMIterate",
     "LinearProgram",
     "LPResult",
     "LPStatus",
     "PresolveResult",
-    "SimplexBasis",
     "StandardFormLP",
     "available_backends",
     "presolve",

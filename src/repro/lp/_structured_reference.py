@@ -5,9 +5,9 @@ This is the original (pre-optimisation) body of
 
 - the differential tests can assert the optimised solver is bit-identical
   to it, and
-- ``perf_config(reference=True)`` (see :mod:`repro.perf`) can route solves
-  through the original code, which is what ``scripts/bench_perf.py`` times
-  the optimised pipeline against.
+- ``RunContext(reference=True)`` (see :mod:`repro.context`) can route
+  solves through the original code, which is what ``scripts/bench_perf.py``
+  times the optimised pipeline against.
 
 Do not "improve" this module: its value is being frozen.
 """

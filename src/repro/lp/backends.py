@@ -16,7 +16,6 @@ from repro.lp.interior_point import IPMOptions, solve_interior_point
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPResult, LPStatus
 from repro.lp.simplex import SimplexOptions, solve_simplex
-from repro.lp.warmstart import IPMIterate, SimplexBasis
 from repro.obs.tracer import span
 
 __all__ = ["FALLBACK_LADDER", "available_backends", "solve", "solve_with_fallback"]
@@ -59,24 +58,10 @@ def _solve_scipy(problem: LinearProgram) -> LPResult:
     )
 
 
-def _solve_interior_point(
-    problem: LinearProgram, warm_start: Optional[object]
-) -> LPResult:
-    warm = warm_start if isinstance(warm_start, IPMIterate) else None
-    return solve_interior_point(problem, IPMOptions(), warm_start=warm)
-
-
-def _solve_simplex(
-    problem: LinearProgram, warm_start: Optional[object]
-) -> LPResult:
-    warm = warm_start if isinstance(warm_start, SimplexBasis) else None
-    return solve_simplex(problem, SimplexOptions(), warm_start=warm)
-
-
-_BACKENDS: Dict[str, Callable[[LinearProgram, Optional[object]], LPResult]] = {
-    "interior-point": _solve_interior_point,
-    "simplex": _solve_simplex,
-    "scipy": lambda p, warm_start: _solve_scipy(p),
+_BACKENDS: Dict[str, Callable[[LinearProgram], LPResult]] = {
+    "interior-point": lambda p: solve_interior_point(p, IPMOptions()),
+    "simplex": lambda p: solve_simplex(p, SimplexOptions()),
+    "scipy": _solve_scipy,
 }
 
 
@@ -88,7 +73,6 @@ def available_backends() -> Tuple[str, ...]:
 def solve(
     problem: LinearProgram,
     method: str = "interior-point",
-    warm_start: Optional[object] = None,
     cache: Optional["LPSolveCache"] = None,
     context: Optional[RunContext] = None,
 ) -> LPResult:
@@ -96,19 +80,13 @@ def solve(
 
     :param problem: the LP to solve.
     :param method: one of :func:`available_backends`.
-    :param warm_start: optional solver state from a previous
-        :class:`LPResult` (its ``warm_start`` attribute); silently ignored
-        by backends it does not fit (e.g. a simplex basis handed to the
-        interior-point method), so callers can thread the previous sweep
-        point's result through without dispatching on the backend.  Ignored
-        entirely when the context disables warm starts.
     :param cache: optional :class:`~repro.caching.lp_cache.LPSolveCache`;
         bit-identical (problem, method) pairs return the stored result
         without solving.  Defaults to the context's own solve cache (off
         unless ``lp_cache_capacity`` is set).
     :param context: run configuration and telemetry sink; defaults to the
         active :func:`~repro.context.current_context`.  Every call records
-        one solve (wall time, iterations, cache hit, warm-start reuse).
+        one solve (wall time, iterations, cache hit).
     :raises ValueError: on an unknown backend name.
     """
     try:
@@ -119,8 +97,6 @@ def solve(
         ) from None
 
     ctx = context if context is not None else current_context()
-    if not ctx.lp_warm_start:
-        warm_start = None
     if cache is None and not ctx.reference:
         # Reference mode solves uncached (seed-era behaviour; explicit
         # ``cache=`` arguments still win for differential tests).
@@ -142,13 +118,12 @@ def solve(
                 )
                 return hit
 
-        result = backend(problem, warm_start)
+        result = backend(problem)
         if cache is not None and key is not None:
             cache.insert(key, result)
         ctx.telemetry.record_solve(
             wall_time_s=time.perf_counter() - start,
             iterations=result.iterations,
-            warm_start=warm_start is not None,
         )
         return result
 
@@ -156,7 +131,6 @@ def solve(
 def solve_with_fallback(
     problem: LinearProgram,
     methods: Optional[Tuple[str, ...]] = None,
-    warm_start: Optional[object] = None,
     context: Optional[RunContext] = None,
 ) -> LPResult:
     """Solve ``problem``, degrading through a ladder of backends.
@@ -170,8 +144,6 @@ def solve_with_fallback(
 
     :param methods: the ladder, first entry primary; defaults to
         :data:`FALLBACK_LADDER`.
-    :param warm_start: threaded through to each rung (backends ignore
-        states that do not fit them).
     :param context: run configuration and telemetry sink; defaults to the
         active :func:`~repro.context.current_context`.
     :raises ValueError: when ``methods`` is empty or names an unknown
@@ -183,7 +155,7 @@ def solve_with_fallback(
     ctx = context if context is not None else current_context()
     result: Optional[LPResult] = None
     for rung, method in enumerate(ladder):
-        result = solve(problem, method, warm_start=warm_start, context=ctx)
+        result = solve(problem, method, context=ctx)
         if result.status.ok:
             if rung > 0:
                 ctx.telemetry.record_fallback(method)

@@ -8,7 +8,7 @@ solving the normal equations :math:`A D A^T \\Delta y = r` with a dense
 Cholesky factorisation per iteration — or, when the standard form carries a
 SciPy sparse matrix, with a sparse LU factorisation (``splu``) of the same
 regularised normal matrix.  The dense path is untouched and remains the
-reference backend (``RunContext.lp_sparse=False``).
+reference backend (``RunContext(reference=True)`` builds dense programs).
 
 The solver works on :class:`~repro.lp.problem.StandardFormLP`
 (min c·x, Ax = b, x ≥ 0) and is exposed through
@@ -26,18 +26,12 @@ import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.sparse.linalg import splu
 
-from repro import perf
+from repro.context import current_context
 from repro.lp.problem import LinearProgram, StandardFormLP
 from repro.lp.result import LPResult, LPStatus
-from repro.lp.warmstart import IPMIterate
 from repro.obs.tracer import traced
 
 __all__ = ["IPMOptions", "solve_interior_point", "solve_interior_point_batch"]
-
-#: Floor applied to a warm-start iterate: a converged point sits on the
-#: boundary of the positive orthant, which the path-following scheme
-#: cannot start from, so clip it slightly inside.
-_WARM_FLOOR = 1e-6
 
 _BACKEND_NAME = "interior-point"
 
@@ -153,27 +147,7 @@ def _max_step(values: np.ndarray, directions: np.ndarray) -> float:
     return float(min(1.0, np.min(ratios)))
 
 
-def _warm_point(
-    warm_start: IPMIterate, m: int, n: int
-) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """A usable (x, y, s) from a previous iterate, or ``None``."""
-    x = np.asarray(warm_start.x, dtype=float)
-    y = np.asarray(warm_start.y, dtype=float)
-    s = np.asarray(warm_start.s, dtype=float)
-    if x.shape != (n,) or y.shape != (m,) or s.shape != (n,):
-        return None
-    if not (
-        np.all(np.isfinite(x)) and np.all(np.isfinite(y)) and np.all(np.isfinite(s))
-    ):
-        return None
-    return np.maximum(x, _WARM_FLOOR), y.copy(), np.maximum(s, _WARM_FLOOR)
-
-
-def _solve_standard_form(
-    lp: StandardFormLP,
-    options: IPMOptions,
-    warm_start: Optional[IPMIterate] = None,
-) -> LPResult:
+def _solve_standard_form(lp: StandardFormLP, options: IPMOptions) -> LPResult:
     """Run the predictor–corrector loop on a standard-form LP."""
     a, b, c = lp.a, lp.b, lp.c
     m, n = a.shape
@@ -196,13 +170,7 @@ def _solve_standard_form(
             return LPResult(LPStatus.UNBOUNDED, None, -np.inf, 0, _BACKEND_NAME)
         return LPResult(LPStatus.OPTIMAL, np.zeros(n), 0.0, 0, _BACKEND_NAME)
 
-    start = None
-    if isinstance(warm_start, IPMIterate):
-        start = _warm_point(warm_start, m, n)
-    warmed = start is not None
-    if warmed:
-        x, y, s = start
-    elif sparse:
+    if sparse:
         x, y, s = _initial_point_sparse(a, b, c)
     else:
         x, y, s = _initial_point(a, b, c)
@@ -210,7 +178,7 @@ def _solve_standard_form(
     norm_c = 1.0 + float(np.linalg.norm(c))
 
     best_err = float("inf")
-    best: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+    best: Optional[np.ndarray] = None
     last_improve = 0
 
     def salvage(failure: LPResult) -> LPResult:
@@ -221,15 +189,13 @@ def _solve_standard_form(
         point to a NUMERICAL_ERROR would misreport a solved problem.
         """
         if best is not None and best_err < options.fallback_tolerance:
-            bx, by, bs = best
             return LPResult(
                 status=LPStatus.OPTIMAL,
-                x=bx,
-                objective=float(c @ bx),
+                x=best,
+                objective=float(c @ best),
                 iterations=failure.iterations,
                 backend=_BACKEND_NAME,
                 message="converged at reduced tolerance",
-                warm_start=IPMIterate(x=bx.copy(), y=by.copy(), s=bs.copy()),
             )
         return failure
 
@@ -245,7 +211,7 @@ def _solve_standard_form(
         err = max(primal_err, dual_err, gap)
         if err < best_err:
             best_err = err
-            best = (x.copy(), y.copy(), s.copy())
+            best = x.copy()
             last_improve = iteration
         if err < options.tolerance:
             return LPResult(
@@ -254,8 +220,6 @@ def _solve_standard_form(
                 objective=float(c @ x),
                 iterations=iteration - 1,
                 backend=_BACKEND_NAME,
-                message="warm-started" if warmed else "",
-                warm_start=IPMIterate(x=x.copy(), y=y.copy(), s=s.copy()),
             )
         if (
             float(np.max(np.abs(x))) > options.divergence_threshold
@@ -537,15 +501,13 @@ def _solve_standard_form_batch(
 
     def salvage(blk: _IPMBlock, failure: LPResult) -> LPResult:
         if blk.best is not None and blk.best_err < options.fallback_tolerance:
-            bx, by, bs = blk.best
             return LPResult(
                 status=LPStatus.OPTIMAL,
-                x=bx,
-                objective=float(blk.c @ bx),
+                x=blk.best,
+                objective=float(blk.c @ blk.best),
                 iterations=failure.iterations,
                 backend=_BACKEND_NAME,
                 message="converged at reduced tolerance",
-                warm_start=IPMIterate(x=bx.copy(), y=by.copy(), s=bs.copy()),
             )
         return failure
 
@@ -627,21 +589,17 @@ def _solve_standard_form_batch(
             err = max(primal_err, dual_err, gap)
             if err < blk.best_err:
                 blk.best_err = err
-                blk.best = (xb.copy(), yb.copy(), sb.copy())
+                blk.best = xb.copy()
                 blk.last_improve = iteration
             if err < options.tolerance:
-                solution = xb.copy()
                 freeze(
                     blk,
                     LPResult(
                         status=LPStatus.OPTIMAL,
-                        x=solution,
+                        x=xb.copy(),
                         objective=cx,
                         iterations=iteration - 1,
                         backend=_BACKEND_NAME,
-                        warm_start=IPMIterate(
-                            x=solution.copy(), y=yb.copy(), s=sb.copy()
-                        ),
                     ),
                 )
             elif (
@@ -937,7 +895,7 @@ def solve_interior_point_batch(
                 standards.append(problem)
     if not standards:
         return []
-    if perf.reference_mode():
+    if current_context().reference:
         return [
             solve_interior_point(
                 original if original is not None else standard, options
@@ -957,7 +915,6 @@ def solve_interior_point_batch(
                     iterations=result.iterations,
                     backend=result.backend,
                     message=result.message,
-                    warm_start=result.warm_start,
                 )
             )
         else:
@@ -969,7 +926,6 @@ def solve_interior_point_batch(
 def solve_interior_point(
     problem: Union[LinearProgram, StandardFormLP],
     options: IPMOptions = IPMOptions(),
-    warm_start: Optional[IPMIterate] = None,
 ) -> LPResult:
     """Solve an LP with the Mehrotra predictor–corrector method.
 
@@ -979,12 +935,10 @@ def solve_interior_point(
 
     :param problem: the LP to solve.
     :param options: solver tunables.
-    :param warm_start: optional converged iterate from a previous solve of
-        a similar problem; ignored when its shapes do not match.
     """
     if isinstance(problem, LinearProgram):
         standard = problem.to_standard_form()
-        result = _solve_standard_form(standard, options, warm_start=warm_start)
+        result = _solve_standard_form(standard, options)
         if result.status.ok:
             x = standard.extract_original(result.x)
             return LPResult(
@@ -994,7 +948,6 @@ def solve_interior_point(
                 iterations=result.iterations,
                 backend=result.backend,
                 message=result.message,
-                warm_start=result.warm_start,
             )
         return result
-    return _solve_standard_form(problem, options, warm_start=warm_start)
+    return _solve_standard_form(problem, options)

@@ -12,7 +12,7 @@ Solvers work on :class:`StandardFormLP` (:math:`\\min c^T x`, :math:`Ax=b`,
 adds one slack per inequality row and one per finite upper bound.
 
 Constraint matrices may be dense :class:`numpy.ndarray`\\ s or SciPy sparse
-matrices; the builders emit CSR when ``RunContext.lp_sparse`` is on.  A
+matrices; the builders emit CSR outside reference mode.  A
 sparse :class:`LinearProgram` produces a sparse standard form, whose entries
 are *exactly* the dense ones (assembly places coefficients, it never sums
 them), so both representations solve bit-identically wherever the solver

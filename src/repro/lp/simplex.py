@@ -10,14 +10,13 @@ method is the default for the large relaxations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.lp.problem import LinearProgram, StandardFormLP
 from repro.lp.result import LPResult, LPStatus
-from repro.lp.warmstart import SimplexBasis
 from repro.obs.tracer import traced
 
 __all__ = ["SimplexOptions", "solve_simplex"]
@@ -94,51 +93,7 @@ def _run_simplex(
     return "iteration_limit", max_iterations
 
 
-def _phase2_from_basis(
-    a: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray,
-    columns: Tuple[int, ...],
-) -> Optional[Tuple[np.ndarray, List[int]]]:
-    """Build a phase-2 tableau directly from a known basis, or ``None``.
-
-    Returns ``None`` when the basis is unusable for this problem — wrong
-    size, out-of-range columns, singular basis matrix, or no longer primal
-    feasible (the sweep moved the polytope from under it).
-    """
-    m, n = a.shape
-    if len(columns) != m or len(set(columns)) != m:
-        return None
-    if any(col < 0 or col >= n for col in columns):
-        return None
-    basis_matrix = a[:, list(columns)]
-    try:
-        binv = np.linalg.inv(basis_matrix)
-    except np.linalg.LinAlgError:
-        return None
-    rhs = binv @ b
-    if not np.all(np.isfinite(rhs)) or float(np.min(rhs, initial=0.0)) < -1e-7:
-        return None
-    body = binv @ a
-    if not np.all(np.isfinite(body)):
-        return None
-
-    phase2 = np.zeros((m + 1, n + 1))
-    phase2[:m, :n] = body
-    phase2[:m, -1] = rhs
-    phase2[-1, :n] = c
-    basis = list(columns)
-    for row, var in enumerate(basis):
-        if phase2[-1, var] != 0.0:
-            phase2[-1] -= phase2[-1, var] * phase2[row]
-    return phase2, basis
-
-
-def _solve_standard_form(
-    lp: StandardFormLP,
-    options: SimplexOptions,
-    warm_start: Optional[SimplexBasis] = None,
-) -> LPResult:
+def _solve_standard_form(lp: StandardFormLP, options: SimplexOptions) -> LPResult:
     """Two-phase simplex on a standard-form LP."""
     # The tableau method is inherently dense; densify sparse inputs up front.
     a = lp.a.toarray() if sp.issparse(lp.a) else lp.a.copy()
@@ -162,24 +117,6 @@ def _solve_standard_form(
     b[negative] *= -1.0
 
     cap = options.iteration_cap(m, n)
-
-    # ---- Warm start: re-use a previous optimal basis, skipping phase 1 -
-    if isinstance(warm_start, SimplexBasis):
-        warm = _phase2_from_basis(a, b, c, warm_start.columns)
-        if warm is not None:
-            phase2, basis = warm
-            verdict, iters = _run_simplex(
-                phase2, basis, n, options.tolerance, cap
-            )
-            if verdict == "optimal":
-                return _extract_optimal(phase2, basis, c, n, iters, warm=True)
-            if verdict == "unbounded":
-                # A feasible point plus an unbounded ray is a true verdict.
-                return LPResult(
-                    LPStatus.UNBOUNDED, None, float("-inf"), iters, _BACKEND_NAME,
-                    message="unbounded from warm-started basis",
-                )
-            # Pivot cap from the warm basis: retry cold below.
 
     # ---- Phase 1: minimise the sum of artificial variables -------------
     tableau = np.zeros((m + 1, n + m + 1))
@@ -251,7 +188,6 @@ def _extract_optimal(
     c: np.ndarray,
     n: int,
     iterations: int,
-    warm: bool = False,
 ) -> LPResult:
     """Read the optimal vertex off a solved phase-2 tableau."""
     x = np.zeros(n)
@@ -265,8 +201,6 @@ def _extract_optimal(
         objective=float(c @ x),
         iterations=iterations,
         backend=_BACKEND_NAME,
-        message="warm-started" if warm else "",
-        warm_start=SimplexBasis(columns=tuple(basis)),
     )
 
 
@@ -274,7 +208,6 @@ def _extract_optimal(
 def solve_simplex(
     problem: Union[LinearProgram, StandardFormLP],
     options: SimplexOptions = SimplexOptions(),
-    warm_start: Optional[SimplexBasis] = None,
 ) -> LPResult:
     """Solve an LP with the two-phase primal simplex method.
 
@@ -284,14 +217,10 @@ def solve_simplex(
 
     :param problem: the LP to solve.
     :param options: solver tunables.
-    :param warm_start: optional basis from a previous solve of a similar
-        problem (e.g. the ``warm_start`` of its :class:`LPResult`).  The
-        basis is validated and the solver falls back to the cold two-phase
-        path when it does not apply, so a stale basis is never unsafe.
     """
     if isinstance(problem, LinearProgram):
         standard = problem.to_standard_form()
-        result = _solve_standard_form(standard, options, warm_start=warm_start)
+        result = _solve_standard_form(standard, options)
         if result.status.ok:
             x = standard.extract_original(result.x)
             return LPResult(
@@ -301,7 +230,6 @@ def solve_simplex(
                 iterations=result.iterations,
                 backend=result.backend,
                 message=result.message,
-                warm_start=result.warm_start,
             )
         return result
-    return _solve_standard_form(problem, options, warm_start=warm_start)
+    return _solve_standard_form(problem, options)

@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro import perf
+from repro.context import current_context
 from repro.lp._structured_reference import solve_structured_reference
 from repro.lp.result import LPResult, LPStatus
 
@@ -175,7 +175,7 @@ def solve_structured(
     :param lp: the structured LP.
     :param options: solver tunables.
     """
-    if perf.reference_mode():
+    if current_context().reference:
         # Differential-testing / benchmarking hook: run the seed solver.
         return solve_structured_reference(lp, options)
     n = lp.num_vars
@@ -749,7 +749,7 @@ def solve_structured_batch(
     """
     if not blocks:
         return []
-    if perf.reference_mode():
+    if current_context().reference:
         return [solve_structured(lp, options) for lp in blocks]
 
     keys: List[Tuple[int, int, int, int]] = []

@@ -260,7 +260,7 @@ def run_batch(
     """Evaluate one algorithm on many scenarios, batching when possible.
 
     When the algorithm has an ``evaluate_batch`` factory and the context
-    allows batching (``lp_batch`` on, not reference mode), all scenarios'
+    allows batching (not reference mode), all scenarios'
     LP work pools into one block-diagonal mega-solve; otherwise this is
     exactly ``[run(name, s, context) for s in scenarios]``.  Either way
     the results are identical scenario for scenario.
@@ -275,7 +275,6 @@ def run_batch(
         if (
             algorithm.evaluate_batch is not None
             and len(scenarios) > 1
-            and ctx.lp_batch
             and not ctx.reference
         ):
             return list(algorithm.evaluate_batch(scenarios, ctx))

@@ -51,13 +51,8 @@ _JOURNAL_VERSION = 1
 #: recorded under different values of them.
 _RESULT_FIELDS: Tuple[str, ...] = (
     "reference",
-    "vectorized_costs",
-    "cached_costs",
     "lp_backend",
     "lp_fallback_backends",
-    "lp_warm_start",
-    "lp_sparse",
-    "lp_batch",
     "seed",
     "shards",
 )

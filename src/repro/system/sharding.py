@@ -134,24 +134,20 @@ class ShardManifest:
         shard.
     :param core_devices: devices attached to the core stations.
     :param halo_devices: out-of-shard devices included read-only as
-        external data sources of the shard's tasks.
-    :param halo_stations: the halo devices' stations (attachment targets
-        only — they never receive this shard's tasks).
+        external data sources of the shard's tasks.  Their stations join
+        the shard's system as attachment targets only: they never receive
+        this shard's tasks.
     :param cloud_capacity: this shard's view of the shared cloud budget
         (``inf`` = uncapped, the paper's model).  A finite budget is
         reconciled across shards by the Lagrangian coordinator
         (:func:`repro.core.sharded.lp_hta_sharded`).
-    :param cross_shard_station_caps: ``(station_id, max_resource)`` of each
-        halo station — capacity owned and enforced by *another* shard.
     """
 
     shard_id: int
     core_stations: Tuple[int, ...]
     core_devices: Tuple[int, ...]
     halo_devices: Tuple[int, ...]
-    halo_stations: Tuple[int, ...]
     cloud_capacity: float = float("inf")
-    cross_shard_station_caps: Tuple[Tuple[int, float], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -255,12 +251,10 @@ class ShardedSystem:
                     halo_seen.add(source)
                     halo_devices.append(source)
             halo_devices.sort()
-            halo_stations = sorted(
-                {system.cluster_of(d) for d in halo_devices} - core_station_set
-            )
+            halo_stations = {system.cluster_of(d) for d in halo_devices}
 
             device_ids = sorted(core_device_set | halo_seen)
-            station_ids = sorted(core_station_set | set(halo_stations))
+            station_ids = sorted(core_station_set | halo_stations)
             sub_system = MECSystem(
                 devices=[system.device(d) for d in device_ids],
                 stations=[system.station(s) for s in station_ids],
@@ -275,11 +269,7 @@ class ShardedSystem:
                 core_stations=tuple(core_stations),
                 core_devices=tuple(sorted(core_device_set)),
                 halo_devices=tuple(halo_devices),
-                halo_stations=tuple(halo_stations),
                 cloud_capacity=cloud_capacity,
-                cross_shard_station_caps=tuple(
-                    (s, system.station(s).max_resource) for s in halo_stations
-                ),
             )
             views.append(
                 ShardView(
@@ -308,7 +298,6 @@ class ShardedSystem:
                     core_stations=tuple(core_stations),
                     core_devices=tuple(sorted(core_devices)),
                     halo_devices=(),
-                    halo_stations=(),
                     cloud_capacity=cloud_capacity,
                 )
             )

@@ -15,7 +15,6 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro import perf
 from repro.context import current_context
 from repro.core.task import Task
 from repro.obs.tracer import staged
@@ -102,8 +101,7 @@ def generate_system(
         else ResultSizeModel.proportional(profile.result_ratio)
     )
 
-    context = current_context()
-    if context.vectorized_generator and not context.reference:
+    if not current_context().reference:
         from repro.workload.array_gen import generate_system_arrays
 
         return generate_system_arrays(
@@ -439,7 +437,7 @@ def generate_tasks(
     counts = _tasks_per_device(profile.num_tasks, profile.num_devices)
 
     context = current_context()
-    if context.vectorized_generator and not context.reference and not profile.divisible:
+    if not context.reference and not profile.divisible:
         from repro.workload.array_gen import generate_holistic_tasks
 
         tasks = generate_holistic_tasks(system, profile, seed, counts)
@@ -451,9 +449,9 @@ def generate_tasks(
 
     rng = np.random.default_rng(seed + 1)
     tasks: List[Task] = []
-    sources = None if perf.reference_mode() else _SourceCandidates(system)
+    sources = None if context.reference else _SourceCandidates(system)
     universe = None
-    if profile.divisible and not perf.reference_mode():
+    if profile.divisible and not context.reference:
         universe = _DivisibleUniverse(catalog, ownership)
     for owner_id, count in enumerate(counts):
         for index in range(count):

@@ -1,14 +1,13 @@
-"""RunContext: activation stack, shims, LP cache and telemetry plumbing."""
+"""RunContext: activation stack, mode selection, LP cache and telemetry."""
 
 import pickle
 
 import pytest
 
 from repro.context import RunContext, Telemetry, current_context, use_context
-from repro.core.costs import cluster_costs, costs_config
+from repro.core.costs import cluster_costs
 from repro.lp import backends
 from repro.lp.problem import LinearProgram
-from repro.perf import perf_config, reference_mode
 from repro.workload.generator import generate_scenario
 from repro.workload.profiles import PAPER_DEFAULTS
 
@@ -27,8 +26,6 @@ class TestActivation:
     def test_default_context_is_optimized(self):
         context = current_context()
         assert not context.reference
-        assert context.vectorized_costs
-        assert context.cached_costs
 
     def test_use_context_nests_and_restores(self):
         outer = current_context()
@@ -52,28 +49,17 @@ class TestActivation:
 
 
 class TestShims:
-    def test_perf_config_routes_through_context(self):
-        assert not reference_mode()
-        with perf_config(reference=True):
-            assert reference_mode()
-            assert current_context().reference
-        assert not reference_mode()
-
-    def test_costs_config_routes_through_context(self):
-        with costs_config(vectorized=False, cached=False):
-            context = current_context()
-            assert not context.vectorized_costs
-            assert not context.cached_costs
+    """The mode switch reaches the cost pipeline through the context."""
 
     def test_costs_config_controls_cost_pipeline(self):
         scenario = generate_scenario(
             PAPER_DEFAULTS.with_updates(num_tasks=10), seed=0
         )
-        with use_context(RunContext(cached_costs=True)):
+        with use_context(RunContext()):
             first = cluster_costs(scenario.system, scenario.tasks)
             second = cluster_costs(scenario.system, scenario.tasks)
         assert first is second
-        with use_context(RunContext(cached_costs=False)):
+        with use_context(RunContext(reference=True)):
             third = cluster_costs(scenario.system, scenario.tasks)
             fourth = cluster_costs(scenario.system, scenario.tasks)
         assert third is not fourth
@@ -133,28 +119,16 @@ class TestLPCache:
             == first.assignment.stats().total_energy_j
         )
 
-    def test_warm_start_disabled_by_context(self):
-        context = RunContext(lp_warm_start=False)
-        with use_context(context):
-            first = backends.solve(_tiny_lp(), "interior-point")
-            backends.solve(
-                _tiny_lp(), "interior-point", warm_start=first.warm_start
-            )
-        assert context.telemetry.warm_start_reuses == 0
-
 
 class TestTelemetry:
     def test_record_and_summary(self):
         telemetry = Telemetry()
         telemetry.record_solve(wall_time_s=0.25, iterations=10)
-        telemetry.record_solve(
-            wall_time_s=0.05, iterations=4, warm_start=True
-        )
+        telemetry.record_solve(wall_time_s=0.05, iterations=4)
         telemetry.record_cache(True)
         telemetry.record_cache(False)
         assert telemetry.solves == 2
         assert telemetry.lp_iterations == 14
-        assert telemetry.warm_start_reuses == 1
         summary = telemetry.summary()
         assert "LP solves          2" in summary
         assert "1/2 hits" in summary

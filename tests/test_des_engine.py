@@ -22,9 +22,9 @@ from repro.workload import PAPER_DEFAULTS, generate_scenario
 
 
 def _replay_both(system, tasks, assignment, **kwargs):
-    with use_context(RunContext(des_vectorized=True)):
+    with use_context(RunContext()):
         fast = replay_assignment(system, tasks, assignment, **kwargs)
-    with use_context(RunContext(des_vectorized=False)):
+    with use_context(RunContext(reference=True)):
         slow = replay_assignment(system, tasks, assignment, **kwargs)
     assert fast == slow
     return fast

@@ -1,8 +1,8 @@
 """Differential tests: optimised hot paths vs their seed-era references.
 
 Each optimisation in the sweep hot path keeps its replaced implementation
-as a selectable reference, and these tests pin the two to *identical*
-output (not merely approximately equal):
+as the oracle ``RunContext(reference=True)`` selects, and these tests pin
+the two to *identical* output (not merely approximately equal):
 
 - lazy-greedy DTA (CELF heap / size-keyed heap) vs the per-round rescan
   references, property-tested over random ownership maps;
@@ -35,7 +35,6 @@ from repro.dta.coverage import (
 )
 from repro.experiments import parallel
 from repro.experiments.parallel import SweepCell, dta_spec, holistic_spec, run_cells
-from repro.perf import perf_config
 from repro.workload.generator import generate_scenario
 from repro.workload.profiles import PAPER_DEFAULTS
 
@@ -89,7 +88,7 @@ class TestLazyGreedyMatchesNaive:
             (dta_number, dta_number_naive),
         ):
             optimised = algorithm(universe, ownership)
-            with perf_config(reference=True):
+            with use_context(RunContext(reference=True)):
                 reference = algorithm(universe, ownership)
             assert dict(optimised.sets) == dict(reference.sets)
             assert dict(reference.sets) == dict(naive(universe, ownership).sets)
@@ -134,9 +133,9 @@ class TestSparseAssemblyMatchesDense:
         )
         checked = 0
         for sub_costs, device_caps, station_cap in _cluster_inputs(scenario):
-            with use_context(RunContext(lp_sparse=True)):
+            with use_context(RunContext()):
                 sparse = build_p2(sub_costs, device_caps, station_cap)
-            with use_context(RunContext(lp_sparse=False)):
+            with use_context(RunContext(reference=True)):
                 dense = build_p2(sub_costs, device_caps, station_cap)
             assert sparse.doomed_rows == dense.doomed_rows
             assert np.array_equal(sparse.lp.c, dense.lp.c)
@@ -166,12 +165,8 @@ class TestSparseAssemblyMatchesDense:
         )
         tasks = list(scenario.tasks)
         for backend in ("interior-point", "scipy"):
-            sparse_ctx = RunContext(
-                lp_sparse=True, lp_backend=backend, lp_cache_capacity=0
-            )
-            dense_ctx = RunContext(
-                lp_sparse=False, lp_backend=backend, lp_cache_capacity=0
-            )
+            sparse_ctx = RunContext(lp_backend=backend, lp_cache_capacity=0)
+            dense_ctx = RunContext(reference=True, lp_backend=backend)
             with use_context(sparse_ctx):
                 sparse_report = lp_hta(scenario.system, tasks)
             with use_context(dense_ctx):
@@ -232,7 +227,7 @@ class TestScenarioMemo:
 def _mini_figure(context):
     """A two-point, two-seed figure-style sweep (LP-HTA + DTA columns).
 
-    Each profile's cells form one sweep column, so with ``lp_batch`` on the
+    Each profile's cells form one sweep column, so outside reference mode the
     holistic and DTA evaluators both route through their mega-solve entry
     points — the same shape ``bench_perf.py`` measures, small enough for CI.
     """
@@ -262,15 +257,19 @@ class TestBatchedSweepMatchesReference:
     def setup_method(self):
         parallel._SCENARIO_MEMO.clear()
 
-    def test_figure_diff_batched_vs_sequential_vs_reference(self):
-        batched_ctx = RunContext(lp_batch=True)
-        sequential_ctx = RunContext(lp_batch=False)
-        reference_ctx = RunContext(
-            reference=True, vectorized_costs=False, cached_costs=False,
-            lp_batch=False,
-        )
+    def test_figure_diff_batched_vs_sequential_vs_reference(self, monkeypatch):
+        from repro.core import hta
+
+        batched_ctx = RunContext()
+        sequential_ctx = RunContext()
+        reference_ctx = RunContext(reference=True)
         batched = _mini_figure(batched_ctx)
-        sequential = _mini_figure(sequential_ctx)
+        parallel._SCENARIO_MEMO.clear()
+        with monkeypatch.context() as patch:
+            # The optimised path with every Step-1 solve on the sequential
+            # per-cluster ladder.
+            patch.setattr(hta, "_batching_enabled", lambda *args: False)
+            sequential = _mini_figure(sequential_ctx)
         reference = _mini_figure(reference_ctx)
         # The batched path actually engaged, and neither control did.
         assert batched_ctx.telemetry.batch_solves > 0
@@ -304,7 +303,9 @@ def _scenario_fingerprint(scenario):
 class TestArrayGeneratorMatchesReference:
     """The raw-word-stream generator is a pure perf change: identical draws."""
 
-    def test_scenarios_identical_across_all_three_paths(self):
+    def test_scenarios_identical_across_all_three_paths(self, monkeypatch):
+        from repro.workload import array_gen
+
         profiles = [
             PAPER_DEFAULTS.with_updates(num_tasks=60, num_devices=12, num_stations=3),
             PAPER_DEFAULTS.with_updates(num_tasks=7, num_devices=1, num_stations=1),
@@ -321,7 +322,12 @@ class TestArrayGeneratorMatchesReference:
             for seed in (0, 5):
                 with use_context(RunContext()):
                     array = _scenario_fingerprint(generate_scenario(profile, seed=seed))
-                with use_context(RunContext(vectorized_generator=False)):
+                with monkeypatch.context() as patch:
+                    # A bailed-out array decode draws through the object
+                    # generator's candidate pools.
+                    patch.setattr(
+                        array_gen, "generate_holistic_tasks", lambda *a, **k: None
+                    )
                     pooled = _scenario_fingerprint(generate_scenario(profile, seed=seed))
                 with use_context(RunContext(reference=True)):
                     reference = _scenario_fingerprint(
@@ -352,7 +358,7 @@ class TestArrayGeneratorMatchesReference:
         profile = PAPER_DEFAULTS.with_updates(
             num_tasks=20, num_devices=5, num_stations=2
         )
-        with use_context(RunContext(vectorized_generator=False)):
+        with use_context(RunContext(reference=True)):
             expected = _scenario_fingerprint(generate_scenario(profile, seed=3))
         monkeypatch.setattr(
             array_gen, "generate_holistic_tasks", lambda *a, **k: None
@@ -409,13 +415,11 @@ class TestEngineReplayBitIdentity:
         for kwargs in cases:
             with use_context(RunContext()):
                 fast = replay_assignment(scenario.system, tasks, assignment, **kwargs)
-            with use_context(RunContext(des_vectorized=False)):
-                slow = replay_assignment(scenario.system, tasks, assignment, **kwargs)
             with use_context(RunContext(reference=True)):
                 reference = replay_assignment(
                     scenario.system, tasks, assignment, **kwargs
                 )
-            assert fast == slow == reference
+            assert fast == reference
 
     def test_realized_metrics_bit_identical(self):
         scenario = generate_scenario(
@@ -450,7 +454,8 @@ class TestEngineReplayBitIdentity:
 
 
 class TestVectorisedKernelsPreserveFigures:
-    """The kernel flags change nothing about a figure-style sweep's output."""
+    """The generator and replay kernels change nothing about a figure-style
+    sweep's output."""
 
     def setup_method(self):
         parallel._SCENARIO_MEMO.clear()
@@ -473,18 +478,18 @@ class TestVectorisedKernelsPreserveFigures:
         ]
         return run_cells(cells, jobs=1)
 
-    def test_generator_and_engine_flags_are_pure_perf(self):
+    def test_generator_and_engine_flags_are_pure_perf(self, monkeypatch):
+        from repro.workload import array_gen
+
         default = self._holistic_mini_figure(RunContext())
         parallel._SCENARIO_MEMO.clear()
-        no_kernels = self._holistic_mini_figure(
-            RunContext(vectorized_generator=False, des_vectorized=False)
-        )
-        parallel._SCENARIO_MEMO.clear()
-        reference = self._holistic_mini_figure(
-            RunContext(
-                reference=True, vectorized_costs=False, cached_costs=False,
-                lp_batch=False,
+        with monkeypatch.context() as patch:
+            # Every task decode bails out to the pooled object generator.
+            patch.setattr(
+                array_gen, "generate_holistic_tasks", lambda *a, **k: None
             )
-        )
+            no_kernels = self._holistic_mini_figure(RunContext())
+        parallel._SCENARIO_MEMO.clear()
+        reference = self._holistic_mini_figure(RunContext(reference=True))
         assert default == no_kernels
         assert default == reference

@@ -7,15 +7,19 @@ elementwise work runs on the concatenated state, every reduction and
 factorisation runs on a block's contiguous slice, and converged blocks are
 frozen while stragglers continue.  These tests pin that contract — same
 objectives (to 1e-9 and bitwise), same iteration counts, same ``lp_hta``
-assignments with batching on or off — over ragged batches, batches of one,
-and batches whose blocks converge at very different iterations.
+assignments batched or on the sequential per-cluster ladder — over ragged
+batches, batches of one, and batches whose blocks converge at very
+different iterations.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.context import RunContext, use_context
+from repro.core import hta
 from repro.core.hta import LPHTAOptions, lp_hta, lp_hta_batch
 from repro.core.lp_builder import BatchedProblem
 from repro.lp import LinearProgram
@@ -316,6 +320,14 @@ def _reports_identical(a, b):
     assert a.clusters == b.clusters  # exact energies, objectives, deltas
 
 
+@contextmanager
+def _sequential_ladder():
+    """Run LP-HTA's Step 1 one cluster at a time, outside reference mode."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(hta, "_batching_enabled", lambda *args: False)
+        yield
+
+
 class TestLPHTABatched:
     """lp_hta with batching on emits exactly the sequential output."""
 
@@ -325,9 +337,9 @@ class TestLPHTABatched:
         profile, seed = case
         scenario = generate_scenario(profile, seed=seed)
         tasks = list(scenario.tasks)
-        with use_context(RunContext(lp_batch=True)) as batched_ctx:
+        with use_context(RunContext()) as batched_ctx:
             batched = lp_hta(scenario.system, tasks, context=batched_ctx)
-        with use_context(RunContext(lp_batch=False)) as sequential_ctx:
+        with _sequential_ladder(), use_context(RunContext()) as sequential_ctx:
             sequential = lp_hta(scenario.system, tasks, context=sequential_ctx)
         _reports_identical(batched, sequential)
         assert sequential_ctx.telemetry.batch_solves == 0
@@ -351,9 +363,9 @@ class TestLPHTABatched:
         )
         tasks = list(scenario.tasks)
         options = LPHTAOptions(backend="interior-point")
-        with use_context(RunContext(lp_batch=True)) as batched_ctx:
+        with use_context(RunContext()) as batched_ctx:
             batched = lp_hta(scenario.system, tasks, options, context=batched_ctx)
-        with use_context(RunContext(lp_batch=False)) as sequential_ctx:
+        with _sequential_ladder(), use_context(RunContext()) as sequential_ctx:
             sequential = lp_hta(
                 scenario.system, tasks, options, context=sequential_ctx
             )
@@ -367,7 +379,7 @@ class TestLPHTABatched:
             ),
             seed=0,
         )
-        context = RunContext(lp_batch=True)
+        context = RunContext()
         report = lp_hta(scenario.system, list(scenario.tasks), context=context)
         assert len(report.clusters) == 1
         assert context.telemetry.batch_solves == 0  # blocks >= 2 gate
@@ -388,10 +400,10 @@ class TestLPHTABatchEntryPoint:
 
     def test_matches_per_job_lp_hta(self):
         jobs = self._jobs()
-        with use_context(RunContext(lp_batch=True)) as batched_ctx:
+        with use_context(RunContext()) as batched_ctx:
             batched = lp_hta_batch(jobs, context=batched_ctx)
         sequential = []
-        with use_context(RunContext(lp_batch=False)) as sequential_ctx:
+        with _sequential_ladder(), use_context(RunContext()) as sequential_ctx:
             for system, tasks in jobs:
                 sequential.append(lp_hta(system, tasks, context=sequential_ctx))
         assert len(batched) == len(sequential)
@@ -403,17 +415,14 @@ class TestLPHTABatchEntryPoint:
 
     def test_reference_context_never_batches(self):
         jobs = self._jobs()[:1]
-        context = RunContext(
-            reference=True, vectorized_costs=False, cached_costs=False,
-            lp_batch=False,
-        )
+        context = RunContext(reference=True)
         reports = lp_hta_batch(jobs, context=context)
         assert len(reports) == 1
         assert context.telemetry.batch_solves == 0
 
     def test_repeated_column_is_a_whole_batch_cache_hit(self):
         jobs = self._jobs()
-        context = RunContext(lp_batch=True)
+        context = RunContext()
         first = lp_hta_batch(jobs, context=context)
         assert context.telemetry.batch_cache_hits == 0
         second = lp_hta_batch(jobs, context=context)

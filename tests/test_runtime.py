@@ -17,10 +17,12 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import repro.lp.backends as backends_mod
 import repro.runtime.journal as journal_mod
 from repro.context import RunContext, use_context
+from repro.core import hta
 from repro.core.hta import lp_hta
 from repro.experiments.parallel import (
     SweepCell,
@@ -54,6 +56,7 @@ from repro.runtime import (
     journal_for,
 )
 from repro.system.sharding import ShardSpec
+from repro.workload import generate_scenario
 from repro.workload.profiles import PAPER_DEFAULTS
 
 _PROFILE = PAPER_DEFAULTS.with_updates(num_tasks=8)
@@ -82,6 +85,19 @@ def _fast_policy(**overrides):
 def _cells(n=3, specs=_SPECS):
     return [
         SweepCell(index=i, profile=_PROFILE, seed=i, evaluators=specs)
+        for i in range(n)
+    ]
+
+
+def _pooled_cells(n=3, specs=_SPECS):
+    """One profile per cell: each cell is its own sweep column and hence
+    its own dispatch unit, so the sweep genuinely crosses the pool (a
+    single batched column would short-circuit to in-process execution)."""
+    return [
+        SweepCell(
+            index=i, profile=_PROFILE.with_updates(num_tasks=8 + i),
+            seed=i, evaluators=specs,
+        )
         for i in range(n)
     ]
 
@@ -306,17 +322,10 @@ def _multi_cpu(monkeypatch):
 @pytest.mark.parametrize("start_method", _START_METHODS)
 class TestPooledFaults:
     def _fault_cells(self, evaluator, n=3):
-        spec = as_spec("probe", evaluator)
-        return [
-            SweepCell(index=i, profile=_PROFILE, seed=i, evaluators=(spec,))
-            for i in range(n)
-        ]
+        return _pooled_cells(n, specs=(as_spec("probe", evaluator),))
 
     def test_worker_crash_quarantines_only_poison_cell(self, start_method):
-        # lp_batch off keeps the cells singleton dispatch units, so the
-        # sweep genuinely crosses the pool (a single batched column would
-        # short-circuit to in-process execution).
-        context = RunContext(max_attempts=1, retry_backoff_s=0.0, lp_batch=False)
+        context = RunContext(max_attempts=1, retry_backoff_s=0.0)
         with use_context(context), pool_scope():
             results = run_cells(
                 self._fault_cells(_crash_on_poison),
@@ -329,7 +338,7 @@ class TestPooledFaults:
         assert f"seed {_POISON_SEED}" in entry["label"]
 
     def test_worker_exception_carries_remote_traceback(self, start_method):
-        context = RunContext(max_attempts=1, retry_backoff_s=0.0, lp_batch=False)
+        context = RunContext(max_attempts=1, retry_backoff_s=0.0)
         with use_context(context), pool_scope():
             results = run_cells(
                 self._fault_cells(_raise_on_poison),
@@ -342,8 +351,8 @@ class TestPooledFaults:
         assert "Traceback" in entry["error"]
 
     def test_config_error_raises_in_parent(self, start_method):
-        cells = _cells(2, specs=(holistic_spec("NoSuchAlgorithm"),))
-        context = RunContext(max_attempts=3, retry_backoff_s=0.0, lp_batch=False)
+        cells = _pooled_cells(2, specs=(holistic_spec("NoSuchAlgorithm"),))
+        context = RunContext(max_attempts=3, retry_backoff_s=0.0)
         with use_context(context), pool_scope():
             with pytest.raises(ValueError, match="NoSuchAlgorithm"):
                 run_cells(cells, jobs=2, start_method=start_method)
@@ -352,19 +361,10 @@ class TestPooledFaults:
 
 @pytest.mark.usefixtures("_multi_cpu")
 def test_cell_timeout_quarantines_hung_cell():
-    context = RunContext(
-        max_attempts=2, cell_timeout_s=0.4, retry_backoff_s=0.0,
-        lp_batch=False,
-    )
+    context = RunContext(max_attempts=2, cell_timeout_s=0.4, retry_backoff_s=0.0)
     with use_context(context), pool_scope():
         results = run_cells(
-            [
-                SweepCell(
-                    index=i, profile=_PROFILE, seed=i,
-                    evaluators=(as_spec("probe", _hang_on_poison),),
-                )
-                for i in range(3)
-            ],
+            _pooled_cells(3, specs=(as_spec("probe", _hang_on_poison),)),
             jobs=2, start_method="fork",
         )
     assert results[_POISON_SEED] is None
@@ -377,8 +377,8 @@ def test_cell_timeout_quarantines_hung_cell():
 @pytest.mark.usefixtures("_multi_cpu")
 def test_pool_scope_reaps_cached_pools():
     with pool_scope():
-        with use_context(RunContext(lp_batch=False)):
-            run_cells(_cells(3), jobs=2, start_method="fork")
+        with use_context(RunContext()):
+            run_cells(_pooled_cells(3), jobs=2, start_method="fork")
         assert _POOLS  # warm inside the scope
     assert not _POOLS  # reaped on exit
 
@@ -497,7 +497,7 @@ class TestFallbackLadder:
     def test_fallback_descends_and_records_rung(self, lp, monkeypatch):
         monkeypatch.setitem(
             backends_mod._BACKENDS, "interior-point",
-            lambda p, warm_start: _rigged_failure("interior-point"),
+            lambda p: _rigged_failure("interior-point"),
         )
         context = RunContext()
         result = solve_with_fallback(lp, context=context)
@@ -509,7 +509,7 @@ class TestFallbackLadder:
         for name in ("interior-point", "simplex", "scipy"):
             monkeypatch.setitem(
                 backends_mod._BACKENDS, name,
-                lambda p, warm_start, name=name: _rigged_failure(name),
+                lambda p, name=name: _rigged_failure(name),
             )
         context = RunContext()
         result = solve_with_fallback(lp, context=context)
@@ -533,7 +533,11 @@ class TestFallbackLadder:
             "repro.core.hta.solve_structured",
             lambda grouped: _rigged_failure("structured"),
         )
-        context = RunContext(lp_batch=False)
+        monkeypatch.setattr(
+            "repro.core.hta.solve_structured_batch",
+            lambda blocks: [_rigged_failure("structured") for _ in blocks],
+        )
+        context = RunContext()
         with use_context(context):
             report = lp_hta(
                 small_scenario.system, list(small_scenario.tasks),
@@ -545,6 +549,54 @@ class TestFallbackLadder:
         # The greedy objective is tagged as vacuous, not an LP bound.
         summary = context.telemetry.summary()
         assert "greedy" in summary
+
+    @pytest.mark.parametrize(
+        "reference, expected",
+        [
+            # Reference builds are already dense: no dense retry rung.
+            (True, [("interior-point", False), ("simplex", False)]),
+            (False, [
+                ("interior-point", True),
+                ("interior-point", False),
+                ("simplex", True),
+            ]),
+        ],
+        ids=["reference", "default"],
+    )
+    def test_dense_ipm_rung_only_below_sparse_build(
+        self, reference, expected, monkeypatch
+    ):
+        scenario = generate_scenario(
+            PAPER_DEFAULTS.with_updates(
+                num_tasks=12, num_devices=4, num_stations=1
+            ),
+            seed=0,
+        )
+        monkeypatch.setattr(
+            hta, "solve_structured", lambda grouped: _rigged_failure("structured")
+        )
+        monkeypatch.setattr(
+            backends_mod, "solve_interior_point",
+            lambda problem, options: _rigged_failure("interior-point"),
+        )
+        rungs = []
+        real_solve = hta.lp_solve
+
+        def recording_solve(lp, backend, **kwargs):
+            rungs.append((backend, sp.issparse(lp.a_eq)))
+            return real_solve(lp, backend, **kwargs)
+
+        monkeypatch.setattr(hta, "lp_solve", recording_solve)
+        context = RunContext(reference=reference)
+        with use_context(context):
+            report = lp_hta(
+                scenario.system, list(scenario.tasks), context=context
+            )
+        assert rungs == expected
+        assert report.clusters[0].lp_backend == "simplex"
+        counters = context.telemetry.metrics.counters
+        assert counters.get("lp.fallback.simplex") == 1
+        assert "lp.fallback.interior-point-dense" not in counters
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """RunContext propagation into worker processes, fork and spawn.
 
-The historical bug: perf/cost flags lived in module globals, which fork
-workers inherit but spawn workers silently reset — a spawn-started sweep
-would quietly run the optimised paths even inside ``perf_config
-(reference=True)``.  Cells now carry their :class:`repro.context.RunContext`
-explicitly, so these tests pin down both halves of the fix:
+Process-global mode flags would be inherited by fork workers but silently
+reset in spawn workers — a spawn-started sweep would quietly run the
+optimised paths under a reference-mode context.  Cells carry their
+:class:`repro.context.RunContext` explicitly, so these tests pin down both
+halves of that contract:
 
 - the flag demonstrably *reaches* spawn workers (probe test), and
 - reference-mode results are bit-identical across in-process, fork and
@@ -22,7 +22,6 @@ from repro.experiments.parallel import (
     holistic_spec,
     run_cells,
 )
-from repro.perf import perf_config, reference_mode
 from repro.registry import ALL_TO_CLOUD, LP_HTA, AlgorithmResult
 from repro.workload.profiles import PAPER_DEFAULTS
 
@@ -38,7 +37,7 @@ def _probe_reference_mode(scenario) -> AlgorithmResult:
         mean_latency_s=0.0,
         unsatisfied_rate=0.0,
         processing_time_s=0.0,
-        involved_devices=int(reference_mode()),
+        involved_devices=int(current_context().reference),
     )
 
 
@@ -56,7 +55,7 @@ def _probe_cells(n=2):
 
 class TestFlagPropagation:
     def test_in_process_sees_ambient_context(self):
-        with perf_config(reference=True):
+        with use_context(RunContext(reference=True)):
             results = run_cells(_probe_cells(), jobs=1)
         assert all(row[0].involved_devices == 1 for row in results)
 
@@ -64,7 +63,7 @@ class TestFlagPropagation:
     def test_workers_see_submitters_context(self, start_method):
         if start_method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"{start_method} unavailable on this platform")
-        with perf_config(reference=True):
+        with use_context(RunContext(reference=True)):
             results = run_cells(
                 _probe_cells(), jobs=2, start_method=start_method
             )

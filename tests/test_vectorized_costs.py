@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.context import RunContext, use_context
 from repro.core.costs import (
     ClusterCosts,
+    _cluster_costs_scalar,
+    _cluster_costs_vectorized,
     cluster_costs,
-    costs_config,
     task_costs,
 )
 from repro.workload.generator import generate_scenario
@@ -14,8 +16,8 @@ from repro.workload.profiles import PAPER_DEFAULTS
 
 
 def _tables(system, tasks, vectorized):
-    with costs_config(cached=False):
-        return cluster_costs(system, tasks, vectorized=vectorized)
+    compute = _cluster_costs_vectorized if vectorized else _cluster_costs_scalar
+    return compute(system, tuple(tasks))
 
 
 def _assert_tables_equal(a: ClusterCosts, b: ClusterCosts) -> None:
@@ -53,35 +55,23 @@ def test_vectorized_matches_per_task_costs(two_cluster_system, shared_task_cross
 
 def test_cache_returns_identical_object():
     scenario = generate_scenario(PAPER_DEFAULTS.with_updates(num_tasks=10), seed=0)
-    with costs_config(cached=True):
-        first = cluster_costs(scenario.system, scenario.tasks)
-        second = cluster_costs(scenario.system, scenario.tasks)
+    first = cluster_costs(scenario.system, scenario.tasks)
+    second = cluster_costs(scenario.system, scenario.tasks)
     assert first is second
 
 
 def test_cache_disabled_recomputes():
+    # Reference mode prices afresh on every call, as the seed pipeline did.
     scenario = generate_scenario(PAPER_DEFAULTS.with_updates(num_tasks=10), seed=0)
-    with costs_config(cached=False):
+    with use_context(RunContext(reference=True)):
         first = cluster_costs(scenario.system, scenario.tasks)
         second = cluster_costs(scenario.system, scenario.tasks)
     assert first is not second
     _assert_tables_equal(first, second)
-
-
-def test_costs_config_restores_previous_settings():
-    from repro.context import current_context
-
-    def flags():
-        context = current_context()
-        return (context.vectorized_costs, context.cached_costs)
-
-    before = flags()
-    with costs_config(vectorized=False, cached=False):
-        assert flags() == (False, False)
-    assert flags() == before
+    _assert_tables_equal(first, cluster_costs(scenario.system, scenario.tasks))
 
 
 def test_owner_rows_is_cached():
     scenario = generate_scenario(PAPER_DEFAULTS.with_updates(num_tasks=10), seed=0)
-    table = cluster_costs(scenario.system, scenario.tasks, vectorized=True)
+    table = cluster_costs(scenario.system, scenario.tasks)
     assert table.owner_rows() is table.owner_rows()
