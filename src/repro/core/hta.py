@@ -30,7 +30,6 @@ from repro.context import RunContext, current_context
 from repro.core.assignment import Assignment, Subsystem
 from repro.core.costs import NUM_SUBSYSTEMS, ClusterCosts, cluster_costs
 from repro.core.lp_builder import (
-    BatchedProblem,
     build_p2,
     build_p2_dense,
     build_p2_structured,
@@ -39,7 +38,6 @@ from repro.core.lp_builder import (
 from repro.lp.structured import solve_structured, solve_structured_batch
 from repro.core.task import Task
 from repro.lp.backends import solve as lp_solve
-from repro.lp.interior_point import solve_interior_point_batch
 from repro.lp.result import LPResult, LPStatus
 from repro.obs.tracer import span
 from repro.system.topology import MECSystem
@@ -65,8 +63,10 @@ class LPHTAOptions:
         our interior-point method specialised to P2's block structure —
         mathematically the same relaxation the paper solves, effectively
         linear-time per Newton step; ``"interior-point"`` is the generic
-        dense Mehrotra solver, ``"simplex"`` / ``"scipy"`` are for ablations
-        and cross-checks.
+        Mehrotra solver (sparse normal equations, dense in reference mode),
+        ``"simplex"`` / ``"scipy"`` are for ablations and cross-checks.
+        Only ``"structured"`` batches Step 1 across clusters; the other
+        backends run the per-cluster ladder.
     :param fallback_backends: tried in order if the primary backend fails
         numerically (the solver fallback ladder; a sparse interior-point
         rung gets an extra dense retry, and a greedy one-hot assignment
@@ -247,9 +247,9 @@ def _solve_p2(
     so the reported Theorem 2 ratio stays a valid (conservative) bound.
 
     Within each relaxation level the configured backend and its fallbacks
-    are tried in order; outside reference mode (whose builds are already
-    dense) a sparse interior-point rung that fails gets a dense
-    rebuild-and-retry (sparse factorisation is the usual numerical
+    are tried in order, each backend once; outside reference mode (whose
+    builds are already dense) a sparse interior-point rung that fails gets
+    a dense rebuild-and-retry (sparse factorisation is the usual numerical
     culprit).  A result from any rung below the primary is counted in the
     telemetry (``lp.fallback.<rung>`` and the ``--stats`` fallback line)
     and tagged with the backend that produced it.  When every backend
@@ -265,7 +265,7 @@ def _solve_p2(
     for relax in (False, True):
         generic_build = None
         rungs: List[Tuple[str, bool]] = []
-        for backend in (options.backend, *options.fallback_backends):
+        for backend in dict.fromkeys((options.backend, *options.fallback_backends)):
             rungs.append((backend, False))
             if backend == "interior-point" and not context.reference:
                 # Dense retry right below the sparse IPM rung.
@@ -333,22 +333,18 @@ def _solve_p2(
     return _greedy_p2(costs, last=last)
 
 
-#: Backends whose Step-1 solve has a block-diagonal batched path.
-_BATCHABLE_BACKENDS = ("structured", "interior-point")
-
-
 def _batching_enabled(context: RunContext, options: LPHTAOptions, blocks: int) -> bool:
     """Whether Step 1 should go through the batched mega-solve.
 
-    Reference mode keeps the seed-era sequential path (it is the
-    differential-testing baseline); a single block gains nothing from
-    batching, so the sequential path also keeps its exact telemetry shape
-    for simple runs.
+    Only the structured backend has a batched solver.  Reference mode
+    keeps the seed-era sequential path (it is the differential-testing
+    baseline); a single block gains nothing from batching, so the
+    sequential path also keeps its exact telemetry shape for simple runs.
     """
     return (
         blocks >= 2
         and not context.reference
-        and options.backend in _BATCHABLE_BACKENDS
+        and options.backend == "structured"
     )
 
 
@@ -359,12 +355,12 @@ def _solve_p2_batch(
 ) -> List[LPResult]:
     """Step 1 for many independent clusters: one block-diagonal mega-solve.
 
-    Only the primary backend's unrelaxed solve is batched — the solve that
-    succeeds on every healthy instance.  Any block the batched solver
-    cannot clear falls back to the sequential :func:`_solve_p2`, which
-    retains the full backend/relaxation ladder, so the returned results
-    match the sequential path block for block (the batched solvers iterate
-    each block's exact sequential trajectory; see
+    Only the structured backend's unrelaxed solve is batched — the solve
+    that succeeds on every healthy instance.  Any block the batched solver
+    cannot clear continues down the sequential :func:`_solve_p2` ladder
+    below that rung, so the returned results match the sequential path
+    block for block (the batched solver iterates each block's exact
+    sequential trajectory; see
     :func:`repro.lp.structured.solve_structured_batch`).
 
     Cache interaction: a whole-batch fingerprint is probed first
@@ -373,7 +369,7 @@ def _solve_p2_batch(
     one lookup while a partially-overlapping batch still reuses every
     block it can.
     """
-    from repro.caching.lp_cache import fingerprint_grouped, fingerprint_problem
+    from repro.caching.lp_cache import fingerprint_grouped
 
     backend = options.backend
     results: List[Optional[LPResult]] = [None] * len(jobs)
@@ -382,30 +378,16 @@ def _solve_p2_batch(
     # sequential path; everything after them (fingerprints, offset
     # bookkeeping, block stacking) is batching overhead and is what
     # ``stage.batch_assembly_s`` measures.
-    if backend == "structured":
-        blocks = [
-            build_p2_structured(
-                costs, caps, cap, relax_deadline_bounds=False
-            ).lp
-            for costs, caps, cap in jobs
-        ]
-        generic = None
-    else:
-        generic = [
-            build_p2(costs, caps, cap, relax_deadline_bounds=False).lp
-            for costs, caps, cap in jobs
-        ]
-        blocks = None
+    blocks = [
+        build_p2_structured(costs, caps, cap, relax_deadline_bounds=False).lp
+        for costs, caps, cap in jobs
+    ]
 
     assembly_start = time.perf_counter()
     cache = None if context.reference else context.lp_cache
     keys: Optional[List[str]] = None
     if cache is not None:
-        if blocks is not None:
-            keys = [fingerprint_grouped(b, backend) for b in blocks]
-        else:
-            assert generic is not None
-            keys = [fingerprint_problem(p, backend) for p in generic]
+        keys = [fingerprint_grouped(b, backend) for b in blocks]
         lookup_start = time.perf_counter()
         whole = cache.lookup_batch(keys)
         if whole is not None:
@@ -432,18 +414,11 @@ def _solve_p2_batch(
 
     pending = [index for index, result in enumerate(results) if result is None]
     if pending:
-        if blocks is not None:
-            batch_input = [blocks[index] for index in pending]
-        else:
-            assert generic is not None
-            batch_input = BatchedProblem([generic[index] for index in pending])
+        batch_input = [blocks[index] for index in pending]
         assembly_s = time.perf_counter() - assembly_start
         with span("solve", context=context, backend=backend):
             start = time.perf_counter()
-            if blocks is not None:
-                solved = solve_structured_batch(batch_input)
-            else:
-                solved = solve_interior_point_batch(batch_input)
+            solved = solve_structured_batch(batch_input)
             wall = time.perf_counter() - start
         context.telemetry.record_batch(
             blocks=len(pending),
@@ -477,13 +452,10 @@ def _solve_p2_batch(
                 # A block the batched solver actually failed on (not a
                 # mere cache miss) is a ladder descent worth counting.
                 context.telemetry.record_fallback("batch-to-sequential")
-            # The structured batch replays solve_structured bit for bit, so
-            # its failure *is* the ladder's first rung: start below it.
-            # (The generic batch is pinned to the dense solver, not to the
-            # first rung's possibly sparse lp_solve, so that rung reruns.)
-            primary = result if backend == "structured" else None
+            # The batch replays solve_structured bit for bit, so its
+            # failure *is* the ladder's first rung: start below it.
             result = _solve_p2(
-                costs, caps, cap, options, context, failed_primary=primary
+                costs, caps, cap, options, context, failed_primary=result
             )
         out.append(result)
     return out
@@ -792,8 +764,9 @@ def lp_hta_batch(
     batch entry point the sweep engine and the DTA candidate loop use to
     amortise per-solve overhead across a column of cells.  Results are
     identical to ``[lp_hta(s, t, ...) for s, t in jobs]`` block for block;
-    when batching is off (reference mode, non-IPM backend, or fewer than
-    two blocks) it literally runs that loop.
+    when batching is off (reference mode, a backend other than
+    ``"structured"``, or fewer than two blocks) it literally runs that
+    loop.
 
     :param jobs: (system, tasks) pairs, each priced and clustered exactly
         as :func:`lp_hta` would.

@@ -19,7 +19,7 @@ to 1 and let Step 4 do the cancelling.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,12 +27,10 @@ import scipy.sparse as sp
 from repro.context import current_context
 from repro.core.costs import NUM_SUBSYSTEMS, ClusterCosts
 from repro.obs.tracer import staged
-from repro.lp.problem import LinearProgram, StandardFormLP
-from repro.lp.result import LPResult
+from repro.lp.problem import LinearProgram
 from repro.lp.structured import GroupedBoundedLP
 
 __all__ = [
-    "BatchedProblem",
     "P2Build",
     "P2StructuredBuild",
     "build_p2",
@@ -339,155 +337,6 @@ def build_p2_structured(
         upper=upper,
     )
     return P2StructuredBuild(lp=lp, doomed_rows=doomed)
-
-
-class BatchedProblem:
-    """Many independent LPs stacked into one block-diagonal mega-problem.
-
-    Each input :class:`LinearProgram` is converted to its standard form;
-    the joint problem places the per-block constraint matrices on the
-    diagonal (COO triplets shifted by the variable/constraint offsets) and
-    concatenates the per-block objectives and right-hand sides.  Because
-    the blocks share no rows or columns, a solution of the joint problem
-    restricted to a block's variable slice is a solution of that block —
-    :meth:`split` and :meth:`split_result` recover the per-instance views.
-
-    The joint matrix is assembled lazily: the lockstep batch solvers only
-    need the per-block standard forms plus the offset bookkeeping, so a
-    batch that never goes through a single joint solve never pays for the
-    stacked CSR.
-
-    :param problems: independent bounded-variable LPs (any mix of sizes).
-    """
-
-    def __init__(self, problems: Sequence[LinearProgram]) -> None:
-        self.problems: Tuple[LinearProgram, ...] = tuple(problems)
-        self.standard: Tuple[StandardFormLP, ...] = tuple(
-            problem.to_standard_form() for problem in self.problems
-        )
-        self.var_offsets: np.ndarray = np.concatenate(
-            ([0], np.cumsum([sf.num_vars for sf in self.standard]))
-        ).astype(np.intp)
-        self.row_offsets: np.ndarray = np.concatenate(
-            ([0], np.cumsum([sf.num_rows for sf in self.standard]))
-        ).astype(np.intp)
-        self._joint: Optional[StandardFormLP] = None
-
-    @property
-    def num_blocks(self) -> int:
-        """Number of stacked instances."""
-        return len(self.standard)
-
-    @property
-    def num_vars(self) -> int:
-        """Total variables (original + slack) across all blocks."""
-        return int(self.var_offsets[-1])
-
-    @property
-    def num_rows(self) -> int:
-        """Total equality rows across all blocks."""
-        return int(self.row_offsets[-1])
-
-    def block_var_slice(self, index: int) -> slice:
-        """The joint-variable slice holding block ``index``'s variables."""
-        return slice(int(self.var_offsets[index]), int(self.var_offsets[index + 1]))
-
-    def block_row_slice(self, index: int) -> slice:
-        """The joint-row slice holding block ``index``'s constraints."""
-        return slice(int(self.row_offsets[index]), int(self.row_offsets[index + 1]))
-
-    def joint(self) -> StandardFormLP:
-        """The block-diagonal standard form (lazily assembled, cached).
-
-        Pure placement: every block's COO triplets are shifted by its
-        offsets and concatenated, so the joint matrix's entries are
-        entry-for-entry the per-block ones — no summation, no reordering
-        within a block.
-        """
-        if self._joint is None:
-            rows_parts: List[np.ndarray] = []
-            cols_parts: List[np.ndarray] = []
-            data_parts: List[np.ndarray] = []
-            for index, sf in enumerate(self.standard):
-                coo = sp.coo_array(sf.a)
-                rows_parts.append(coo.row + self.row_offsets[index])
-                cols_parts.append(coo.col + self.var_offsets[index])
-                data_parts.append(coo.data)
-            shape = (self.num_rows, self.num_vars)
-            if rows_parts:
-                a = sp.csr_array(
-                    sp.coo_array(
-                        (
-                            np.concatenate(data_parts),
-                            (
-                                np.concatenate(rows_parts),
-                                np.concatenate(cols_parts),
-                            ),
-                        ),
-                        shape=shape,
-                    )
-                )
-            else:
-                a = sp.csr_array(shape, dtype=float)
-            c = (
-                np.concatenate([sf.c for sf in self.standard])
-                if self.standard
-                else np.zeros(0)
-            )
-            b = (
-                np.concatenate([sf.b for sf in self.standard])
-                if self.standard
-                else np.zeros(0)
-            )
-            self._joint = StandardFormLP(
-                c=c, a=a, b=b, num_original=self.num_vars
-            )
-        return self._joint
-
-    def split(self, x: np.ndarray) -> List[np.ndarray]:
-        """Per-block slices of a joint standard-form solution (copies)."""
-        return [
-            np.asarray(x[self.block_var_slice(index)], dtype=float).copy()
-            for index in range(self.num_blocks)
-        ]
-
-    def split_result(self, result: LPResult) -> List[LPResult]:
-        """Per-instance :class:`LPResult` views of a joint solve.
-
-        Successful joint solutions are sliced per block, projected back to
-        each instance's original variables, and re-priced with the
-        instance's own objective; failures propagate unchanged to every
-        block.
-        """
-        out: List[LPResult] = []
-        for index, (problem, sf) in enumerate(zip(self.problems, self.standard)):
-            if result.x is None:
-                out.append(
-                    LPResult(
-                        status=result.status,
-                        x=None,
-                        objective=float("nan"),
-                        iterations=result.iterations,
-                        backend=result.backend,
-                        message=result.message,
-                    )
-                )
-                continue
-            x_std = np.asarray(
-                result.x[self.block_var_slice(index)], dtype=float
-            )
-            x_orig = sf.extract_original(x_std)
-            out.append(
-                LPResult(
-                    status=result.status,
-                    x=x_orig,
-                    objective=problem.objective(x_orig),
-                    iterations=result.iterations,
-                    backend=result.backend,
-                    message=result.message,
-                )
-            )
-        return out
 
 
 def reshape_solution(xi: np.ndarray, num_tasks: int) -> np.ndarray:

@@ -274,20 +274,6 @@ def _evaluate_cell(cell: SweepCell) -> Tuple[AlgorithmResult, ...]:
         return tuple(spec(scenario) for spec in cell.evaluators)
 
 
-def _evaluate_cell_with_telemetry(
-    cell: SweepCell,
-) -> Tuple[Tuple[AlgorithmResult, ...], Telemetry]:
-    """Pool entry point: cell results plus the telemetry they generated.
-
-    Unpickled contexts start with zeroed telemetry (see
-    :meth:`~repro.context.RunContext.__getstate__`), so the returned sink
-    holds exactly this cell's deltas for the parent to merge.
-    """
-    results = _evaluate_cell(cell)
-    context = cell.context if cell.context is not None else current_context()
-    return results, context.telemetry
-
-
 def _group_columns(cells: Sequence[SweepCell]) -> List[List[int]]:
     """Deterministic sweep columns: cell indices grouped for batching.
 

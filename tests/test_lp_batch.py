@@ -1,15 +1,17 @@
 """The batched block-diagonal LP path: batched == sequential, block for block.
 
-The lockstep mega-solvers (:func:`solve_structured_batch`,
-:func:`solve_interior_point_batch`) advance every pooled block through the
-exact floating-point trajectory the sequential solver would produce:
-elementwise work runs on the concatenated state, every reduction and
-factorisation runs on a block's contiguous slice, and converged blocks are
-frozen while stragglers continue.  These tests pin that contract — same
-objectives (to 1e-9 and bitwise), same iteration counts, same ``lp_hta``
-assignments batched or on the sequential per-cluster ladder — over ragged
-batches, batches of one, and batches whose blocks converge at very
-different iterations.
+The lockstep mega-solver :func:`solve_structured_batch` advances every
+pooled block through the exact floating-point trajectory
+:func:`solve_structured` would produce: elementwise work runs on the
+concatenated state, every reduction and factorisation runs on a block's
+contiguous slice, and converged blocks are frozen while stragglers
+continue.  These tests pin that contract — same objectives (to 1e-9 and
+bitwise), same iteration counts, same ``lp_hta`` assignments batched or on
+the sequential per-cluster ladder — over ragged batches, batches of one,
+and batches whose blocks converge at very different iterations.  The
+generic :func:`solve_interior_point_batch` is a per-problem loop and must
+equal its sequential solves too; ``lp_hta`` batches only the structured
+backend.
 """
 
 from contextlib import contextmanager
@@ -21,7 +23,6 @@ from hypothesis import given, settings, strategies as st
 from repro.context import RunContext, use_context
 from repro.core import hta
 from repro.core.hta import LPHTAOptions, lp_hta, lp_hta_batch
-from repro.core.lp_builder import BatchedProblem
 from repro.lp import LinearProgram
 from repro.lp.interior_point import solve_interior_point, solve_interior_point_batch
 from repro.lp import structured
@@ -291,14 +292,6 @@ class TestInteriorPointBatch:
         (batched,) = solve_interior_point_batch([problem])
         _assert_block_equal(batched, solve_interior_point(problem))
 
-    def test_batched_problem_input_equals_sequence_input(self):
-        rng = np.random.default_rng(5)
-        problems = [_random_generic(rng, int(g)) for g in (2, 9, 5)]
-        from_sequence = solve_interior_point_batch(problems)
-        from_batched = solve_interior_point_batch(BatchedProblem(problems))
-        for b, s in zip(from_batched, from_sequence):
-            _assert_block_equal(b, s)
-
 
 @st.composite
 def small_profile(draw):
@@ -357,20 +350,24 @@ class TestLPHTABatched:
             == sequential_ctx.telemetry.lp_iterations
         )
 
-    def test_interior_point_backend_batches_identically(self):
+    def test_interior_point_backend_never_batches(self):
+        # Only the structured backend has a batched Step-1 solver: the
+        # generic IPM runs the per-cluster ladder even with batching on.
         scenario = generate_scenario(
             PAPER_DEFAULTS.with_updates(num_tasks=40), seed=2
         )
         tasks = list(scenario.tasks)
         options = LPHTAOptions(backend="interior-point")
-        with use_context(RunContext()) as batched_ctx:
-            batched = lp_hta(scenario.system, tasks, options, context=batched_ctx)
+        with use_context(RunContext()) as default_ctx:
+            default = lp_hta(scenario.system, tasks, options, context=default_ctx)
         with _sequential_ladder(), use_context(RunContext()) as sequential_ctx:
             sequential = lp_hta(
                 scenario.system, tasks, options, context=sequential_ctx
             )
-        _reports_identical(batched, sequential)
-        assert batched_ctx.telemetry.batch_solves == 1
+        assert len(default.clusters) >= 2
+        _reports_identical(default, sequential)
+        assert default_ctx.telemetry.batch_solves == 0
+        assert default_ctx.telemetry.solves == sequential_ctx.telemetry.solves
 
     def test_single_cluster_stays_sequential(self):
         scenario = generate_scenario(

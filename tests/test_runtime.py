@@ -598,6 +598,40 @@ class TestFallbackLadder:
         assert counters.get("lp.fallback.simplex") == 1
         assert "lp.fallback.interior-point-dense" not in counters
 
+    def test_primary_repeated_in_fallbacks_runs_once_per_level(
+        self, monkeypatch
+    ):
+        # The interior-point primary is also the first default fallback;
+        # each relaxation level must still try every backend only once.
+        scenario = generate_scenario(
+            PAPER_DEFAULTS.with_updates(
+                num_tasks=12, num_devices=4, num_stations=1
+            ),
+            seed=0,
+        )
+        rungs = []
+
+        def failing_solve(lp, backend, **kwargs):
+            rungs.append((backend, sp.issparse(lp.a_eq)))
+            return _rigged_failure(backend)
+
+        monkeypatch.setattr(hta, "lp_solve", failing_solve)
+        options = hta.LPHTAOptions(backend="interior-point")
+        context = RunContext()
+        with use_context(context):
+            report = lp_hta(
+                scenario.system, list(scenario.tasks), options,
+                context=context,
+            )
+        level = [
+            ("interior-point", True),
+            ("interior-point", False),
+            ("simplex", True),
+            ("scipy", True),
+        ]
+        assert rungs == level * 2
+        assert report.clusters[0].lp_backend == "greedy"
+
 
 # ---------------------------------------------------------------------------
 # Interior-point guards
@@ -637,16 +671,3 @@ class TestIPMGuards:
         result = solve_interior_point(lp, options)
         assert result.status is LPStatus.OPTIMAL
         assert result.objective == pytest.approx(-7.0, abs=1e-5)
-
-    def test_wall_clock_guard_parks_batch(self, lp):
-        options = IPMOptions(
-            fallback_tolerance=0.0, max_wall_clock_s=0.0,
-        )
-        results = solve_interior_point_batch([lp, lp], options)
-        for result in results:
-            assert result.status is LPStatus.ITERATION_LIMIT
-            assert "wall-clock" in result.message
-
-    def test_wall_clock_default_is_off(self, lp):
-        [result] = solve_interior_point_batch([lp], IPMOptions())
-        assert result.status is LPStatus.OPTIMAL
