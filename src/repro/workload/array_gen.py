@@ -38,6 +38,7 @@ not worth compiling.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -48,7 +49,12 @@ from repro.system.radio import FOUR_G, WIFI
 from repro.system.topology import MECSystem, SystemParameters
 from repro.workload.profiles import WorkloadProfile
 
-__all__ = ["generate_holistic_tasks", "generate_system_arrays"]
+__all__ = [
+    "generate_holistic_tasks",
+    "generate_system_arrays",
+    "nth_outside",
+    "outside_skips",
+]
 
 _U53 = 2.0**-53
 
@@ -139,6 +145,25 @@ def generate_system_arrays(
 _EMPTY_ITEMS = frozenset()
 
 
+def outside_skips(members: Sequence[int]) -> List[int]:
+    """The index map of the complement of ``members`` in ``0..n-1``.
+
+    ``members`` must be sorted and distinct.  The returned
+    ``shifted[j] = members[j] - j`` is non-decreasing, and
+    :func:`nth_outside` turns it into the idx-th non-member without
+    materialising the O(n) complement: every member at or below the
+    answer pushes it up by one, and those are exactly the ``j`` with
+    ``shifted[j] <= idx``.
+    """
+    return [m - j for j, m in enumerate(members)]
+
+
+def nth_outside(shifted: Sequence[int], idx: int) -> int:
+    """The idx-th (0-based) value of ``0..n-1`` not in the members whose
+    :func:`outside_skips` map is ``shifted``."""
+    return idx + bisect_right(shifted, idx)
+
+
 def generate_holistic_tasks(
     system: MECSystem,
     profile: WorkloadProfile,
@@ -182,7 +207,7 @@ def generate_holistic_tasks(
     for cluster_members in members.values():
         for position, d in enumerate(cluster_members):
             rank[d] = position
-    cross_lists: Dict[int, List[int]] = {}
+    skips = {cluster: outside_skips(m) for cluster, m in members.items()}
 
     min_frac = profile.min_input_fraction
     max_bytes = profile.max_input_bytes
@@ -204,6 +229,7 @@ def generate_holistic_tasks(
     for owner_id, count in enumerate(counts):
         owner_cluster = clusters[owner_id]
         cluster_members = members[owner_cluster]
+        cluster_skips = skips[owner_cluster]
         n_same = len(cluster_members) - 1
         n_cross = num_devices - len(cluster_members)
         owner_rank = rank[owner_id]
@@ -224,23 +250,10 @@ def generate_holistic_tasks(
                 if n == 0:
                     n = num_devices - 1
                     fallback = True
-                if n == 0:
-                    source = None
-                elif n == 1:
+                if n == 1:
                     # integers(0, 1) consumes no words at all.
-                    if fallback:
-                        source = 0 if owner_id != 0 else 1
-                    elif cross:
-                        chosen = cross_lists.get(owner_cluster)
-                        if chosen is None:
-                            chosen = [
-                                d for d in device_ids if clusters[d] != owner_cluster
-                            ]
-                            cross_lists[owner_cluster] = chosen
-                        source = chosen[0]
-                    else:
-                        source = cluster_members[0 if owner_rank != 0 else 1]
-                else:
+                    idx = 0
+                elif n > 1:
                     if buffered is None:
                         word32 = lo32[offset]
                         buffered = hi32[offset]
@@ -254,20 +267,14 @@ def generate_holistic_tasks(
                         # *might* redraw here, so the static decode is off.
                         return None
                     idx = product >> 32
-                    if fallback:
-                        source = idx if idx < owner_id else idx + 1
-                    elif cross:
-                        chosen = cross_lists.get(owner_cluster)
-                        if chosen is None:
-                            chosen = [
-                                d for d in device_ids if clusters[d] != owner_cluster
-                            ]
-                            cross_lists[owner_cluster] = chosen
-                        source = chosen[idx]
-                    else:
-                        source = cluster_members[
-                            idx if idx < owner_rank else idx + 1
-                        ]
+                if n == 0:
+                    source = None
+                elif fallback:
+                    source = idx if idx < owner_id else idx + 1
+                elif cross:
+                    source = nth_outside(cluster_skips, idx)
+                else:
+                    source = cluster_members[idx if idx < owner_rank else idx + 1]
                 if source is None:
                     alpha, beta = total, 0.0
             deadline = float(dead_lo + (dead_hi - dead_lo) * u[offset])

@@ -25,6 +25,7 @@ from repro.system.computation import CyclesModel, ResultSizeModel
 from repro.system.devices import BaseStation, Cloud, MobileDevice
 from repro.system.radio import FOUR_G, WIFI
 from repro.system.topology import MECSystem, SystemParameters
+from repro.workload.array_gen import nth_outside, outside_skips
 from repro.workload.profiles import WorkloadProfile
 
 __all__ = ["Scenario", "generate_scenario", "generate_system", "generate_tasks"]
@@ -164,61 +165,60 @@ def _tasks_per_device(num_tasks: int, num_devices: int) -> List[int]:
 
 
 class _SourceCandidates:
-    """Per-scenario candidate lists for :func:`_pick_external_source`.
+    """Per-scenario index maps for :func:`_pick_external_source`.
 
     The candidate sets depend only on the (static) topology, not on the
-    task being generated, so they are built once per scenario instead of
-    re-filtered per task.  Device iteration order is preserved exactly, so
-    ``rng.choice`` sees the same lists — and draws the same sources — as
-    the per-task filtering did.
+    task being generated, so they are indexed once per scenario instead of
+    re-filtered per task.  No candidate list is materialised: the maps work
+    over *positions* in ``system.devices`` iteration order (relabelled
+    systems need not iterate in id order), and the k-th candidate a map
+    yields is the device the per-task filter's list holds at index k, so
+    ``rng.integers`` draws the same sources as ``rng.choice`` over that
+    list.  State is O(devices) in total.
     """
 
     def __init__(self, system: MECSystem) -> None:
-        self._system = system
-        self._cross: dict = {}
-        self._same: dict = {}
+        self._ids = list(system.devices)
+        self._position = {d: p for p, d in enumerate(self._ids)}
         self._members: dict = {}
-        self._fallback: dict = {}
+        self._rank: list = []
+        for position, device_id in enumerate(self._ids):
+            members = self._members.setdefault(system.cluster_of(device_id), [])
+            self._rank.append(len(members))
+            members.append(position)
+        self._skips = {
+            cluster: outside_skips(members)
+            for cluster, members in self._members.items()
+        }
 
-    def _cluster_members(self, cluster: int) -> list:
-        members = self._members.get(cluster)
-        if members is None:
-            members = [
-                d
-                for d in self._system.devices
-                if self._system.cluster_of(d) == cluster
-            ]
-            self._members[cluster] = members
-        return members
-
-    def cross_cluster(self, owner_cluster: int) -> list:
-        candidates = self._cross.get(owner_cluster)
-        if candidates is None:
-            candidates = [
-                d
-                for d in self._system.devices
-                if self._system.cluster_of(d) != owner_cluster
-            ]
-            self._cross[owner_cluster] = candidates
-        return candidates
-
-    def same_cluster(self, owner_id: int, owner_cluster: int) -> list:
-        candidates = self._same.get(owner_id)
-        if candidates is None:
-            # Filtering the memoised cluster membership by owner keeps the
-            # device order of the one-pass filter it replaces.
-            candidates = [
-                d for d in self._cluster_members(owner_cluster) if d != owner_id
-            ]
-            self._same[owner_id] = candidates
-        return candidates
-
-    def any_other(self, owner_id: int) -> list:
-        candidates = self._fallback.get(owner_id)
-        if candidates is None:
-            candidates = [d for d in self._system.devices if d != owner_id]
-            self._fallback[owner_id] = candidates
-        return candidates
+    def pick(
+        self,
+        owner_id: int,
+        owner_cluster: int,
+        cross_cluster: bool,
+        rng: np.random.Generator,
+    ) -> Optional[int]:
+        """Draw one source: a device outside the owner's cluster, or a
+        cluster-mate, falling back to any device other than the owner."""
+        owner = self._position[owner_id]
+        members = self._members[owner_cluster]
+        if cross_cluster:
+            count = len(self._ids) - len(members)
+        else:
+            count = len(members) - 1
+        if count:
+            idx = int(rng.integers(0, count))
+            if cross_cluster:
+                position = nth_outside(self._skips[owner_cluster], idx)
+            else:
+                position = members[idx if idx < self._rank[owner] else idx + 1]
+        else:
+            count = len(self._ids) - 1
+            if not count:
+                return None
+            idx = int(rng.integers(0, count))
+            position = idx if idx < owner else idx + 1
+        return self._ids[position]
 
 
 def _pick_external_source(
@@ -231,7 +231,7 @@ def _pick_external_source(
     """A device (≠ owner) to hold the task's external data, or None.
 
     With a candidate ``pool`` the per-task filtering is skipped and the
-    uniform draw goes through ``rng.integers`` over the cached list —
+    uniform draw goes through ``rng.integers`` over the pool's index map —
     ``lst[rng.integers(0, len(lst))]`` consumes the bit stream exactly like
     ``rng.choice(lst)``, so both paths pick the same source.  The
     ``pool=None`` path is the reference implementation the equivalence
@@ -239,15 +239,7 @@ def _pick_external_source(
     """
     owner_cluster = system.cluster_of(owner_id)
     if pool is not None:
-        if cross_cluster:
-            candidates = pool.cross_cluster(owner_cluster)
-        else:
-            candidates = pool.same_cluster(owner_id, owner_cluster)
-        if not candidates:
-            candidates = pool.any_other(owner_id)
-        if not candidates:
-            return None
-        return candidates[int(rng.integers(0, len(candidates)))]
+        return pool.pick(owner_id, owner_cluster, cross_cluster, rng)
 
     if cross_cluster:
         candidates = [

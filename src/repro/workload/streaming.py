@@ -31,13 +31,13 @@ generator remains the reference for cross-shard data sharing.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple
 
 from repro.data.items import DataCatalog
 from repro.data.ownership import OwnershipMap
 from repro.core.task import Task
+from repro.system.devices import BaseStation, MobileDevice
 from repro.system.sharding import ShardSpec
 from repro.system.topology import MECSystem
 from repro.workload.generator import Scenario, generate_scenario
@@ -133,6 +133,13 @@ def _item_slice(num_items: int, num_shards: int, shard_id: int) -> Tuple[int, in
     return offset, count
 
 
+def _offset_items(items: frozenset, offset: int) -> frozenset:
+    """``items`` shifted into the global item namespace (empty stays empty)."""
+    if not items:
+        return items
+    return frozenset(item + offset for item in items)
+
+
 def generate_tile(
     profile: WorkloadProfile,
     spec: ShardSpec,
@@ -190,28 +197,37 @@ def generate_tile(
     tile_seed = seed + (shard_id + 1) * _TILE_SEED_STRIDE
     scenario = generate_scenario(tile_profile, tile_seed)
 
-    # Relabel local ids into the global namespace.
+    # Relabel local ids into the global namespace.  The constructors run
+    # every ``__post_init__`` check; unlike copying, they never carry a
+    # task's memoised hash over to the relabelled task.
     device_map = [
         (local // width) * k + first + (local % width)
         for local in range(num_devices)
     ]
-    devices = [
-        dataclasses.replace(
-            scenario.system.device(local),
-            device_id=device_map[local],
-            data_items=frozenset(
-                item + item_offset
-                for item in scenario.system.device(local).data_items
-            ),
+    devices = []
+    for local in range(num_devices):
+        device = scenario.system.device(local)
+        devices.append(
+            MobileDevice(
+                device_id=device_map[local],
+                cpu_frequency_hz=device.cpu_frequency_hz,
+                wireless=device.wireless,
+                max_resource=device.max_resource,
+                data_items=_offset_items(device.data_items, item_offset),
+                position=device.position,
+            )
         )
-        for local in range(num_devices)
-    ]
-    station_list = [
-        dataclasses.replace(
-            scenario.system.station(local), station_id=first + local
+    station_list = []
+    for local in range(width):
+        station = scenario.system.station(local)
+        station_list.append(
+            BaseStation(
+                station_id=first + local,
+                cpu_frequency_hz=station.cpu_frequency_hz,
+                max_resource=station.max_resource,
+                position=station.position,
+            )
         )
-        for local in range(width)
-    ]
     attachment = {
         device_map[local]: first + scenario.system.cluster_of(local)
         for local in range(num_devices)
@@ -226,17 +242,21 @@ def generate_tile(
         parameters=scenario.system.parameters,
     )
     tasks = tuple(
-        dataclasses.replace(
-            task,
+        Task(
             owner_device_id=device_map[task.owner_device_id],
+            index=task.index,
+            local_bytes=task.local_bytes,
+            external_bytes=task.external_bytes,
             external_source=(
                 None
                 if task.external_source is None
                 else device_map[task.external_source]
             ),
-            required_items=frozenset(
-                item + item_offset for item in task.required_items
-            ),
+            resource_demand=task.resource_demand,
+            deadline_s=task.deadline_s,
+            divisible=task.divisible,
+            required_items=_offset_items(task.required_items, item_offset),
+            operation=task.operation,
         )
         for task in scenario.tasks[: num_tasks]
     )

@@ -9,6 +9,8 @@ the two to *identical* output (not merely approximately equal):
 - sparse COO/CSR LP assembly vs the dense reference — equal matrices in
   ``build_p2`` and its standard form, and identical ``lp_hta`` assignments
   on the Table I profile;
+- the index-mapped external-source pick vs indexing the materialised
+  candidate lists, property-tested over random (relabelled) topologies;
 - the per-worker scenario memo — hit/miss telemetry and the reference-mode
   bypass that keeps benchmark baselines honest;
 - the batched block-diagonal mega-solve path vs both the sequential
@@ -18,7 +20,7 @@ the two to *identical* output (not merely approximately equal):
 
 import numpy as np
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.context import RunContext, use_context
 from repro.core.costs import ClusterCosts, cluster_costs
@@ -35,6 +37,9 @@ from repro.dta.coverage import (
 )
 from repro.experiments import parallel
 from repro.experiments.parallel import SweepCell, dta_spec, holistic_spec, run_cells
+from repro.system.devices import BaseStation, MobileDevice
+from repro.system.radio import WIFI
+from repro.system.topology import MECSystem
 from repro.workload.generator import generate_scenario
 from repro.workload.profiles import PAPER_DEFAULTS
 
@@ -300,6 +305,98 @@ def _scenario_fingerprint(scenario):
     return tasks, devices
 
 
+class _FixedDraw:
+    """An rng stand-in whose ``integers`` returns a chosen index."""
+
+    def __init__(self, idx):
+        self.idx = idx
+        self.high = None
+
+    def integers(self, low, high):
+        assert low == 0 and 0 <= self.idx < high
+        self.high = high
+        return self.idx
+
+
+@st.composite
+def relabelled_topology(draw):
+    """A small system with non-canonical, non-sorted device ids."""
+    num_stations = draw(st.integers(min_value=1, max_value=4))
+    num_devices = draw(st.integers(min_value=1, max_value=10))
+    ids = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=60),
+            min_size=num_devices, max_size=num_devices, unique=True,
+        )
+    )
+    stations = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=num_stations - 1),
+            min_size=num_devices, max_size=num_devices,
+        )
+    )
+    return MECSystem(
+        devices=[
+            MobileDevice(device_id=d, cpu_frequency_hz=1e9, wireless=WIFI,
+                         max_resource=1.0)
+            for d in ids
+        ],
+        stations=[BaseStation(station_id=s) for s in range(num_stations)],
+        attachment=dict(zip(ids, stations)),
+    )
+
+
+class TestSourcePickIndexMap:
+    """The index-mapped source pick equals indexing the materialised lists."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=40), data=st.data())
+    @example(n=7, data=None)
+    def test_nth_outside_is_the_complement(self, n, data):
+        from repro.workload.array_gen import nth_outside, outside_skips
+
+        if data is None:
+            # Explicit edge cases: no members, every all-but-one member
+            # set, and member runs at either end of the range.
+            member_sets = [[]] + [
+                [d for d in range(n) if d != keep] for keep in range(n)
+            ] + [list(range(3)), list(range(n - 3, n))]
+        else:
+            member_sets = [
+                sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n)))
+            ]
+        for members in member_sets:
+            shifted = outside_skips(members)
+            complement = [d for d in range(n) if d not in set(members)]
+            picked = [nth_outside(shifted, idx) for idx in range(len(complement))]
+            assert picked == complement
+
+    @settings(max_examples=150, deadline=None)
+    @given(system=relabelled_topology())
+    def test_pool_pick_equals_per_task_filter(self, system):
+        from repro.workload.generator import _SourceCandidates
+
+        pool = _SourceCandidates(system)
+        ids = list(system.devices)
+        for owner in ids:
+            cluster = system.cluster_of(owner)
+            for cross in (True, False):
+                # The reference path's candidate list, materialised.
+                candidates = [
+                    d for d in ids
+                    if (system.cluster_of(d) != cluster if cross
+                        else d != owner and system.cluster_of(d) == cluster)
+                ] or [d for d in ids if d != owner]
+                if not candidates:
+                    draw = _FixedDraw(0)
+                    assert pool.pick(owner, cluster, cross, draw) is None
+                    assert draw.high is None
+                for idx, expected in enumerate(candidates):
+                    draw = _FixedDraw(idx)
+                    assert pool.pick(owner, cluster, cross, draw) == expected
+                    assert draw.high == len(candidates)
+
+
 class TestArrayGeneratorMatchesReference:
     """The raw-word-stream generator is a pure perf change: identical draws."""
 
@@ -317,6 +414,16 @@ class TestArrayGeneratorMatchesReference:
                 num_tasks=30, num_devices=6, num_stations=3,
                 external_cross_cluster_prob=1.0,
             ),
+        ]
+        # City-like cluster counts: 150 devices round-robin over 120
+        # stations leave 90 single-device clusters, so same-cluster picks
+        # fall back to "any other device" as well as picking cross-cluster.
+        profiles += [
+            PAPER_DEFAULTS.with_updates(
+                num_tasks=300, num_devices=150, num_stations=120,
+                external_cross_cluster_prob=prob,
+            )
+            for prob in (1.0, 0.0)
         ]
         for profile in profiles:
             for seed in (0, 5):

@@ -1,9 +1,12 @@
 """Streaming scenario tiles: structure, identity and solve equivalence."""
 
+import dataclasses
+
 import pytest
 
 from repro.context import RunContext, use_context
 from repro.core.hta import lp_hta
+from repro.core.task import Task
 from repro.system.sharding import ShardSpec
 from repro.workload import PAPER_DEFAULTS, generate_scenario
 from repro.workload.streaming import (
@@ -89,6 +92,92 @@ class TestTileStructure:
     def test_gapped_spec_rejected(self, profile):
         with pytest.raises(ValueError, match="contiguous"):
             generate_tile(profile, ShardSpec(((0, 2), (1, 3))), 0)
+
+
+def _fields(obj):
+    return tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
+
+
+def _replace_relabel(tile):
+    """Relabel the tile's local scenario by ``dataclasses.replace``: the
+    straightforward copy the constructor relabel must reproduce."""
+    local = generate_scenario(tile.tile_profile, tile.tile_seed)
+    k = tile.profile.num_stations
+    first = min(tile.system.stations)
+    width = tile.system.num_stations
+    item_offset = (
+        min(tile.catalog.item_ids) if tile.catalog is not None else 0
+    )
+    device_map = {
+        d: (d // width) * k + first + (d % width) for d in local.system.devices
+    }
+    devices = [
+        dataclasses.replace(
+            device,
+            device_id=device_map[d],
+            data_items=frozenset(i + item_offset for i in device.data_items),
+        )
+        for d, device in local.system.devices.items()
+    ]
+    stations = [
+        dataclasses.replace(station, station_id=first + s)
+        for s, station in local.system.stations.items()
+    ]
+    tasks = [
+        dataclasses.replace(
+            task,
+            owner_device_id=device_map[task.owner_device_id],
+            external_source=(
+                None if task.external_source is None
+                else device_map[task.external_source]
+            ),
+            required_items=frozenset(
+                i + item_offset for i in task.required_items
+            ),
+        )
+        for task in local.tasks[: tile.num_tasks]
+    ]
+    attachment = {
+        device_map[d]: first + local.system.cluster_of(d)
+        for d in local.system.devices
+    }
+    return devices, stations, tasks, attachment
+
+
+class TestRelabel:
+    @pytest.mark.parametrize("divisible", [False, True])
+    def test_tiles_equal_replace_relabel(self, profile, divisible):
+        profile = profile.with_updates(divisible=divisible)
+        for tile in stream_scenario_tiles(profile, num_shards=3, seed=4):
+            devices, stations, tasks, attachment = _replace_relabel(tile)
+            assert [_fields(d) for d in tile.system.devices.values()] == [
+                _fields(d) for d in devices
+            ]
+            assert [_fields(s) for s in tile.system.stations.values()] == [
+                _fields(s) for s in stations
+            ]
+            assert [_fields(t) for t in tile.tasks] == [_fields(t) for t in tasks]
+            assert {
+                d: tile.system.cluster_of(d) for d in tile.system.devices
+            } == attachment
+
+    def test_relabelled_hashes_are_fresh(self, profile, monkeypatch):
+        import repro.workload.streaming as streaming
+
+        def hashed_scenario(*args, **kwargs):
+            # Memoise every local task's hash before the relabel runs: a
+            # relabel that carried the memo over would hash stale fields.
+            scenario = generate_scenario(*args, **kwargs)
+            for task in scenario.tasks:
+                hash(task)
+            return scenario
+
+        monkeypatch.setattr(streaming, "generate_scenario", hashed_scenario)
+        tiles = list(stream_scenario_tiles(profile, num_shards=3, seed=4))
+        assert sum(tile.num_tasks for tile in tiles) == profile.num_tasks
+        for tile in tiles:
+            for task in tile.tasks:
+                assert hash(task) == hash(Task(*_fields(task)))
 
 
 class TestSolveEquivalence:
